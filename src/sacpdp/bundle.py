@@ -19,6 +19,8 @@ from .registry import KnowledgeBase, parse_registry
 from .xmlio import parse_policy, parse_purposes
 
 DOCUMENT_KEYS = ("so", "oo", "ao", "ato", "purposes", "policy", "registry")
+# bundle key -> the kind its ontology document must declare
+_KIND_BY_KEY = {"so": "SO", "oo": "OO", "ao": "AO", "ato": "AtO"}
 
 
 def parse_kv_config(path: Path) -> dict[str, str]:
@@ -84,47 +86,30 @@ def validate_bundle(bundle: Bundle) -> tuple[list[str], PolicyStore | None, Know
     callers can distinguish I/O failure from validation failure.
     """
     findings: list[str] = []
-    graphs = {}
-    for kind, key in (("SO", "so"), ("OO", "oo"), ("AO", "ao"), ("AtO", "ato")):
+    parsed = {}
+    for key in DOCUMENT_KEYS:
+        path = bundle.documents[key]
+        text = _read(path)
         try:
-            graph = load_ontology(_read(bundle.documents[key]))
-            if graph.kind != kind:
-                findings.append(
-                    f"{bundle.documents[key].name}: declared kind {graph.kind}, expected {kind}"
-                )
+            if key == "purposes":
+                document = parse_purposes(text)
+            elif key == "policy":
+                document = parse_policy(text, source=path.name)
+            elif key == "registry":
+                document = parse_registry(text)
             else:
-                graphs[kind] = graph
+                document = load_ontology(text)
+                expected = _KIND_BY_KEY[key]
+                if document.kind != expected:
+                    findings.append(f"{path.name}: declared kind {document.kind}, expected {expected}")
+                    continue
         except SacError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            findings.append(f"{bundle.documents[key].name}: {exc}")
+            findings.append(f"{path.name}: {exc}")
+            continue
+        parsed[key] = document
 
-    tree = None
-    try:
-        tree = parse_purposes(_read(bundle.documents["purposes"]))
-    except SacError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        findings.append(f"{bundle.documents['purposes'].name}: {exc}")
-
-    policy = None
-    try:
-        policy = parse_policy(
-            _read(bundle.documents["policy"]), source=bundle.documents["policy"].name
-        )
-    except SacError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        findings.append(f"{bundle.documents['policy'].name}: {exc}")
-
-    kb = None
-    try:
-        kb = parse_registry(_read(bundle.documents["registry"]))
-    except SacError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        findings.append(f"{bundle.documents['registry'].name}: {exc}")
-
+    graphs = {kind: parsed[key] for key, kind in _KIND_BY_KEY.items() if key in parsed}
+    tree, policy, kb = parsed.get("purposes"), parsed.get("policy"), parsed.get("registry")
     store = None
     if len(graphs) == 4 and tree is not None and policy is not None:
         try:
@@ -135,7 +120,7 @@ def validate_bundle(bundle: Bundle) -> tuple[list[str], PolicyStore | None, Know
             findings.extend(kb.validate(graphs))
     if findings:
         store = None
-    return findings, store, (kb if kb is not None else None)
+    return findings, store, kb
 
 
 def build_store(bundle: Bundle) -> tuple[PolicyStore, KnowledgeBase]:

@@ -239,23 +239,10 @@ def subsumes(graph: OntologyGraph, ancestor: ConceptRef, descendant: ConceptRef)
     """True iff ``descendant`` is ``ancestor`` or reaches it over is-a edges.
 
     Reflexive and transitive by construction.  Both references must carry the
-    graph's ontology tag and resolve to declared nodes.
+    graph's ontology tag and resolve to declared nodes.  Answered by the same
+    walk the engine runs, :func:`subsumption_path`.
     """
-    top = graph.require(ancestor)
-    start = graph.require(descendant)
-    if top == start:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for parent in graph._parents[node]:
-            if parent == top:
-                return True
-            if parent not in seen:
-                seen.add(parent)
-                queue.append(parent)
-    return False
+    return subsumption_path(graph, ancestor, descendant) is not None
 
 
 def subsumption_path(graph: OntologyGraph, ancestor: ConceptRef, descendant: ConceptRef) -> list[str] | None:

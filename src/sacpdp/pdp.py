@@ -24,7 +24,6 @@ from typing import Mapping
 
 from .errors import ActivationError, OntologyError, TypeMismatchError, UnknownPurposeError
 from .ontology import (
-    AttributeDescriptor,
     ConceptRef,
     OntologyGraph,
     WILDCARD_ID,
@@ -34,7 +33,6 @@ from .ontology import (
 )
 from .policy import (
     ANY_PURPOSE,
-    AccessRule,
     Empty,
     PolicyDocument,
     PurposeTree,
@@ -135,18 +133,13 @@ class Decision:
 # --- target matching --------------------------------------------------------
 
 
-def match_target(rule: AccessRule, req: AccessRequest, store: PolicyStore) -> bool:
-    """Clause-by-clause target check; raises on ontology lookup failures."""
-    matched, _ = _match_target_traced(rule, req, store)
-    return matched
-
-
 def _sorted_concepts(concepts) -> list[ConceptRef]:
     # frozensets iterate in hash order; decisions must trace deterministically
     return sorted(concepts, key=lambda c: (c.ontology, c.id))
 
 
 def _match_target_traced(rule, req, store) -> tuple[bool, list[str]]:
+    """Clause-by-clause target check; raises on ontology lookup failures."""
     trace: list[str] = []
 
     # (a) subject, widened by role inheritance
@@ -223,11 +216,6 @@ def _match_target_traced(rule, req, store) -> tuple[bool, list[str]]:
 
 
 # --- rule evaluation --------------------------------------------------------
-
-
-def evaluate_rule(rule: AccessRule, req: AccessRequest, store: PolicyStore) -> DecisionValue:
-    value, _ = _evaluate_rule_traced(rule, req, store)
-    return value
 
 
 def _evaluate_rule_traced(rule, req, store) -> tuple[DecisionValue, list[str]]:

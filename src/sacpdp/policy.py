@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import TypeMismatchError, UnknownPurposeError
-from .ontology import (
-    AttributeDescriptor,
-    ConceptRef,
-    OntologyGraph,
-    WILDCARD_ID,
-    equivalent_attributes,
-)
+from .ontology import ConceptRef, OntologyGraph, WILDCARD_ID
 
 #: Sentinel purpose meaning "compliant with any requested purpose".
 ANY_PURPOSE = "*"
@@ -247,19 +241,6 @@ class AttributeVariable:
 
 
 @dataclass(frozen=True)
-class RightCategory:
-    """A right id plus the action concepts it is understood to cover.
-
-    Purely descriptive metadata: the granted right never restricts the matched
-    action, it is reported alongside Permit decisions.
-    """
-
-    id: str
-    description: str = ""
-    implied_actions: frozenset = frozenset()
-
-
-@dataclass(frozen=True)
 class AccessRule:
     """One policy rule: who (subject + variables) may do what (action) to what
     (object + variables), for which purpose, under which condition, granting
@@ -318,13 +299,11 @@ def validate_rule(
     rule: AccessRule,
     graphs: Mapping[str, OntologyGraph],
     tree: PurposeTree,
-    rights: Mapping[str, RightCategory] | None = None,
 ) -> list[str]:
     """Collect every resolution problem in one pass; empty list means valid.
 
     Findings are strings with an XML-path-like prefix locating the element.
-    ``rights`` is an optional catalog; without one, right ids are opaque and
-    unchecked.
+    Right ids are opaque and unchecked.
     """
     findings: list[str] = []
     prefix = f"access_Rule[{rule.name}]"
@@ -350,9 +329,6 @@ def validate_rule(
             findings.append(
                 f"{prefix}/attribute_Set/attribute[{i}]: AtO has no node {attr.name!r}"
             )
-        elif attr.equivalence_enabled:
-            # closure must be computable at activation time
-            equivalent_attributes(ato, attr)
     if rule.purpose != ANY_PURPOSE and rule.purpose not in tree:
         findings.append(f"{prefix}/Purpose: unknown purpose {rule.purpose!r}")
     for i, atom in enumerate(iter_atoms(rule.condition)):
@@ -360,6 +336,4 @@ def validate_rule(
             findings.append(
                 f"{prefix}/Condition[{i}]: AtO has no attribute node {atom.attribute!r}"
             )
-    if rights is not None and rule.right not in rights:
-        findings.append(f"{prefix}/Right: unknown right category {rule.right!r}")
     return findings

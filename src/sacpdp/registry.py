@@ -17,7 +17,7 @@ from .ontology import AttributeDescriptor, ConceptRef
 from .pdp import AccessRequest, PolicyStore
 from .policy import Scalar
 from .xmlbase import elem
-from .xmlio import XacmlRequestDoc, _attr, _parse_scalar, _scalar_wire, flag_enabled
+from .xmlio import XacmlRequestDoc, parse_wire_attribute, required_attr, wire_attribute_node
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,9 @@ class KnowledgeBase:
 #   <context_attribute id="age" kind="int" min="10" max="90"/>
 #   <context_attribute id="consent" kind="string" values="given refused"/>
 # </registry>
+#
+# A standing <attribute> is the request's subject <attribute> element, read and
+# written by xmlio's parse_wire_attribute / wire_attribute_node.
 
 
 def _parse_entry(node: xmlbase.XmlNode, concept_kind: str) -> RegistryEntry:
@@ -86,22 +89,9 @@ def _parse_entry(node: xmlbase.XmlNode, concept_kind: str) -> RegistryEntry:
     attributes = []
     for child in node.children:
         if child.tag == "concept":
-            concepts.append(ConceptRef(concept_kind, _attr(child, "id")))
+            concepts.append(ConceptRef(concept_kind, required_attr(child, "id")))
         elif child.tag == "attribute":
-            raw_value = child.get("value")
-            value: Scalar | None = None
-            if raw_value is not None:
-                value = _parse_scalar(child.get("type", "string"), raw_value, child)
-            name = _attr(child, "name")
-            attributes.append(
-                AttributeDescriptor(
-                    attribute_id=child.get("attribute_id") or name,
-                    name=name,
-                    soa_id=child.get("soa", ""),
-                    equivalence_enabled=flag_enabled(child.get("e")),
-                    value=value,
-                )
-            )
+            attributes.append(parse_wire_attribute(child))
         else:
             raise UnknownElementError(
                 f"unexpected element <{child.tag}> in <{node.tag}>", child.line, child.column
@@ -120,31 +110,31 @@ def parse_registry(text: str | bytes) -> KnowledgeBase:
     specs: list[ContextAttributeSpec] = []
     for child in root.children:
         if child.tag == "subject":
-            sid = _attr(child, "id")
+            sid = required_attr(child, "id")
             if sid in subjects:
                 raise DuplicateIdError(f"subject {sid!r} declared twice")
             subjects[sid] = _parse_entry(child, "SO")
         elif child.tag == "object":
-            oid = _attr(child, "id")
+            oid = required_attr(child, "id")
             if oid in objects:
                 raise DuplicateIdError(f"object {oid!r} declared twice")
             objects[oid] = _parse_entry(child, "OO")
         elif child.tag == "context_attribute":
-            kind = _attr(child, "kind")
+            kind = required_attr(child, "kind")
             if kind == "int":
                 specs.append(
                     ContextAttributeSpec(
-                        attribute_id=_attr(child, "id"),
+                        attribute_id=required_attr(child, "id"),
                         kind="int",
-                        low=int(_attr(child, "min")),
-                        high=int(_attr(child, "max")),
+                        low=int(required_attr(child, "min")),
+                        high=int(required_attr(child, "max")),
                     )
                 )
             elif kind == "string":
-                values = tuple(_attr(child, "values").split())
+                values = tuple(required_attr(child, "values").split())
                 specs.append(
                     ContextAttributeSpec(
-                        attribute_id=_attr(child, "id"), kind="string", values=values
+                        attribute_id=required_attr(child, "id"), kind="string", values=values
                     )
                 )
             else:
@@ -163,21 +153,7 @@ def parse_registry(text: str | bytes) -> KnowledgeBase:
 def serialize_registry(kb: KnowledgeBase) -> str:
     def entry_nodes(entry: RegistryEntry) -> list:
         nodes = [elem("concept", {"id": ref.id}) for ref in entry.concepts]
-        for attr in entry.attributes:
-            attrs = {"name": attr.name}
-            if attr.attribute_id != attr.name:
-                attrs["attribute_id"] = attr.attribute_id
-            if attr.soa_id:
-                attrs["soa"] = attr.soa_id
-            if attr.equivalence_enabled:
-                attrs["e"] = "Enabled"
-            if attr.value is not None:
-                vt, text = _scalar_wire(attr.value)
-                attrs["value"] = text
-                if vt != "string":
-                    attrs["type"] = vt
-            nodes.append(elem("attribute", attrs))
-        return nodes
+        return nodes + [wire_attribute_node(attr) for attr in entry.attributes]
 
     root = elem("registry")
     for sid in sorted(kb.subjects):

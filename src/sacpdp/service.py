@@ -209,12 +209,15 @@ class Gateway:
 
     # -- server lifecycle ----------------------------------------------------
 
+    def _bind(self) -> GatewayServer:
+        self._server = GatewayServer((self.config.listen_host, self.config.listen_port), self)
+        return self._server
+
     def start(self) -> int:
         """Bind and serve on a background thread; returns the bound port."""
-        self._server = GatewayServer((self.config.listen_host, self.config.listen_port), self)
         # short poll so stop() returns promptly
         self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            target=self._bind().serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self._thread.start()
         return self.bound_port
@@ -239,11 +242,11 @@ class Gateway:
 
     def serve_forever(self) -> None:
         """Foreground variant used by the command line."""
-        self._server = GatewayServer((self.config.listen_host, self.config.listen_port), self)
+        server = self._bind()
         try:
-            self._server.serve_forever()
+            server.serve_forever()
         finally:
-            self._server.server_close()
+            server.server_close()
 
 
 class GatewayServer(ThreadingHTTPServer):
@@ -286,7 +289,14 @@ class GatewayHandler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body.  A Content-Length that is not a non-negative
+        integer raises ValueError; the body's extent is then unknown, so the
+        connection is closed after the response."""
+        raw = self.headers.get("Content-Length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise ValueError(f"bad Content-Length {raw!r}")
+        length = int(raw)
         return self.rfile.read(length) if length else b""
 
     def _send(
@@ -299,6 +309,8 @@ class GatewayHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for key, value in (extra or {}).items():
             self.send_header(key, value)
         self.end_headers()
@@ -338,6 +350,9 @@ class GatewayHandler(BaseHTTPRequestHandler):
         except UnicodeDecodeError:
             self._send(400, b"body is not valid UTF-8\n")
             return
+        except ValueError as exc:
+            self._send(400, f"{exc}\n".encode())
+            return
         try:
             version = self.server.gateway.admin_load(slot, text)
         except ActivationError as exc:
@@ -348,25 +363,23 @@ class GatewayHandler(BaseHTTPRequestHandler):
         self._send(200, body, "application/json")
 
     def _pdp_decide(self) -> None:
-        gateway = self.server.gateway
         started = time.monotonic()
-        store, kb = gateway.snapshot()
+        store, kb = self.server.gateway.snapshot()
         try:
             wire = parse_xacml_request(self._body().decode("utf-8", errors="replace"))
-        except SacError as exc:
-            self._audit_error(gateway, None, None, None, None, started)
+        except (SacError, ValueError) as exc:
+            self._audit(started, None, None, None, None)
             self._send(400, f"{exc}\n".encode())
             return
+        ids = (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id)
         try:
             request, conflicts = build_access_request(wire, kb, store)
         except UnknownPurposeError as exc:
-            self._audit_error(
-                gateway, wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id, started
-            )
+            self._audit(started, *ids)
             self._send(400, f"{exc}\n".encode())
             return
         decision = decide(store, request)
-        self._audit_decision(gateway, request, decision, started, conflicts)
+        self._audit(started, *ids, decision, conflicts)
         doc = response_doc_for(decision)
         body = serialize_xacml_response(doc).encode("utf-8")
         self._send(200, body, "application/xml", {"X-Decision": decision.value.value})
@@ -380,7 +393,6 @@ class GatewayHandler(BaseHTTPRequestHandler):
         purpose = (query.get("purpose") or [self.headers.get("X-Purpose", "")])[0]
         subject_id = self.headers.get("X-Subject", "anonymous")
         action_id = METHOD_ACTIONS.get(method, FALLBACK_ACTION)
-        body = self._body()
 
         problems: list[str] = []
         if not object_id:
@@ -390,6 +402,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
         attrs = []
         environment: dict[str, object] = {}
         try:
+            body = self._body()
             for raw in self.headers.get_all("X-Attribute") or []:
                 attrs.append(_parse_attribute_header(raw))
             for raw in self.headers.get_all("X-Context") or []:
@@ -398,7 +411,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             problems.append(str(exc))
         if problems:
-            self._audit_error(gateway, subject_id, object_id or None, action_id, purpose or None, started)
+            self._audit(started, subject_id, object_id or None, action_id, purpose or None)
             self._send(400, ("\n".join(problems) + "\n").encode())
             return
 
@@ -413,11 +426,11 @@ class GatewayHandler(BaseHTTPRequestHandler):
         try:
             request, conflicts = build_access_request(wire, kb, store)
         except UnknownPurposeError as exc:
-            self._audit_error(gateway, subject_id, object_id, action_id, purpose, started)
+            self._audit(started, subject_id, object_id, action_id, purpose)
             self._send(400, f"{exc}\n".encode())
             return
         decision = decide(store, request)
-        self._audit_decision(gateway, request, decision, started, conflicts)
+        self._audit(started, subject_id, object_id, action_id, purpose, decision, conflicts)
 
         if decision.value is not DecisionValue.PERMIT:
             # masked refusals must be byte-exact "access denied", so no newline here
@@ -458,37 +471,22 @@ class GatewayHandler(BaseHTTPRequestHandler):
 
     # -- audit records -------------------------------------------------------
 
-    @staticmethod
-    def _now() -> str:
-        return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
-
-    def _audit_decision(self, gateway, request, decision: Decision, started, conflicts) -> None:
+    def _audit(
+        self, started, subject, obj, action, purpose, decision: Decision | None = None, conflicts=()
+    ) -> None:
+        """Write one audit record; without a decision, the request is recorded
+        as an ``error`` (refused before it could be decided)."""
         record = {
-            "ts": self._now(),
-            "subject": request.subject_id,
-            "object": request.object_id,
-            "action": request.action.id,
-            "purpose": request.purpose,
-            "decision": decision.value.value,
-            "masked": decision.masked,
-            "matched_rule": None if decision.masked else decision.matched_rule,
+            "ts": datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
+            "subject": subject,
+            "object": obj,
+            "action": action,
+            "purpose": purpose,
+            "decision": "error" if decision is None else decision.value.value,
+            "masked": decision is not None and decision.masked,
+            "matched_rule": None if decision is None or decision.masked else decision.matched_rule,
             "latency_ms": round((time.monotonic() - started) * 1000, 3),
         }
         if conflicts:
             record["conflicts"] = list(conflicts)
-        gateway.audit(record)
-
-    def _audit_error(self, gateway, subject, obj, action, purpose, started) -> None:
-        gateway.audit(
-            {
-                "ts": self._now(),
-                "subject": subject,
-                "object": obj,
-                "action": action,
-                "purpose": purpose,
-                "decision": "error",
-                "masked": False,
-                "matched_rule": None,
-                "latency_ms": round((time.monotonic() - started) * 1000, 3),
-            }
-        )
+        self.server.gateway.audit(record)

@@ -59,7 +59,8 @@ def flag_enabled(raw: str | None) -> bool:
     return raw in _TRUE_FLAGS
 
 
-def _attr(node: XmlNode, name: str) -> str:
+def required_attr(node: XmlNode, name: str) -> str:
+    """The value of a required, non-empty XML attribute; DocumentError otherwise."""
     value = node.get(name)
     if value is None or value == "":
         raise DocumentError(
@@ -131,7 +132,7 @@ _CONNECTIVES = ("And", "Or")
 
 
 def _parse_condition(node: XmlNode) -> ConditionExpr:
-    kind = _attr(node, "type")
+    kind = required_attr(node, "type")
     if kind in _CONNECTIVES:
         children = []
         for child in node.children:
@@ -154,7 +155,7 @@ def _parse_condition(node: XmlNode) -> ConditionExpr:
         raise UnknownConditionTypeError(
             f"unknown condition type {kind!r}", node.line, node.column
         )
-    attribute = _attr(node, "attribute")
+    attribute = required_attr(node, "attribute")
     value_type = _value_type_of(node)
     if op is Op.IN:
         members = []
@@ -237,17 +238,17 @@ def _parse_target(node: XmlNode):
             seen.add(child.tag)
             kind = _TARGET_KINDS[child.tag]
             _check_ontology_ref(child, kind)
-            refs[child.tag] = ConceptRef(kind, _attr(child, "name"))
+            refs[child.tag] = ConceptRef(kind, required_attr(child, "name"))
         elif child.tag == "AttributeVariable":
             _check_ontology_ref(child, "AtO")
-            side = _attr(child, "type")
+            side = required_attr(child, "type")
             if side not in ("subject", "object"):
                 raise DocumentError(
                     f"AttributeVariable type must be subject or object, got {side!r}",
                     child.line,
                     child.column,
                 )
-            var = AttributeVariable(_attr(child, "name"), side)
+            var = AttributeVariable(required_attr(child, "name"), side)
             (subject_vars if side == "subject" else object_vars).append(var)
         else:
             raise UnknownElementError(
@@ -332,9 +333,9 @@ def _parse_rule_element(node: XmlNode, default_name: str) -> AccessRule:
         elif child.tag == "Target":
             subject, obj, action, subject_vars, object_vars = _parse_target(child)
         elif child.tag == "Right":
-            right = _attr(child, "type")
+            right = required_attr(child, "type")
         elif child.tag == "Purpose":
-            marker = _attr(child, "type")
+            marker = required_attr(child, "type")
             purpose = ANY_PURPOSE if marker == ANY_PURPOSE_MARKER else marker
         elif child.tag == "Condition":
             condition = _parse_condition(child)
@@ -492,7 +493,7 @@ def parse_purposes(text: str | bytes) -> PurposeTree:
             raise UnknownElementError(
                 f"unexpected element <{child.tag}> in <purposes>", child.line, child.column
             )
-        pid = _attr(child, "id")
+        pid = required_attr(child, "id")
         if pid in parents:
             raise DuplicateIdError(f"purpose {pid!r} declared twice")
         parents[pid] = child.get("parent")
@@ -547,8 +548,10 @@ class XacmlRequestDoc:
     environment: Mapping[str, Scalar] = field(default_factory=dict)
 
 
-def _parse_wire_attribute(node: XmlNode) -> AttributeDescriptor:
-    name = _attr(node, "name")
+def parse_wire_attribute(node: XmlNode) -> AttributeDescriptor:
+    """One certificate ``<attribute>`` element: a request's subject attribute or
+    a registry entry's standing attribute (the two share this form)."""
+    name = required_attr(node, "name")
     raw_value = node.get("value")
     value: Scalar | None = None
     if raw_value is not None:
@@ -585,7 +588,7 @@ def parse_xacml_request(text: str | bytes) -> XacmlRequestDoc:
             raise UnknownElementError(
                 f"unexpected element <{child.tag}> in <subject>", child.line, child.column
             )
-        attributes.append(_parse_wire_attribute(child))
+        attributes.append(parse_wire_attribute(child))
     environment: dict[str, Scalar] = {}
     env = root.find("environment")
     for child in env.children:
@@ -593,19 +596,20 @@ def parse_xacml_request(text: str | bytes) -> XacmlRequestDoc:
             raise UnknownElementError(
                 f"unexpected element <{child.tag}> in <environment>", child.line, child.column
             )
-        name = _attr(child, "name")
-        environment[name] = _parse_scalar(child.get("type", "string"), _attr(child, "value"), child)
+        name = required_attr(child, "name")
+        environment[name] = _parse_scalar(child.get("type", "string"), required_attr(child, "value"), child)
     return XacmlRequestDoc(
-        subject_id=_attr(subject, "id"),
+        subject_id=required_attr(subject, "id"),
         subject_attributes=tuple(attributes),
-        resource_id=_attr(root.find("resource"), "id"),
-        action_id=_attr(root.find("action"), "id"),
-        purpose_id=_attr(root.find("purpose"), "id"),
+        resource_id=required_attr(root.find("resource"), "id"),
+        action_id=required_attr(root.find("action"), "id"),
+        purpose_id=required_attr(root.find("purpose"), "id"),
         environment=environment,
     )
 
 
-def _wire_attribute_node(attr: AttributeDescriptor) -> XmlNode:
+def wire_attribute_node(attr: AttributeDescriptor) -> XmlNode:
+    """The canonical ``<attribute>`` element; inverse of parse_wire_attribute."""
     attrs: dict[str, str] = {"name": attr.name}
     if attr.attribute_id != attr.name:
         attrs["attribute_id"] = attr.attribute_id
@@ -632,7 +636,7 @@ def serialize_xacml_request(doc: XacmlRequestDoc) -> str:
     root = elem(
         "request",
         {},
-        elem("subject", {"id": doc.subject_id}, *[_wire_attribute_node(a) for a in doc.subject_attributes]),
+        elem("subject", {"id": doc.subject_id}, *[wire_attribute_node(a) for a in doc.subject_attributes]),
         elem("resource", {"id": doc.resource_id}),
         elem("action", {"id": doc.action_id}),
         elem("purpose", {"id": doc.purpose_id}),

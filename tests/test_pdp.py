@@ -16,7 +16,7 @@ from sacpdp.pdp import (
     activate_store,
     decide,
     explain,
-    match_target,
+    _match_target_traced,
 )
 from sacpdp.policy import (
     ANY_PURPOSE,
@@ -427,6 +427,6 @@ class TestTotalityAndDeterminism:
 
         for rule in store.policy.rules:
             try:
-                match_target(rule, request, store)
+                _match_target_traced(rule, request, store)
             except SacError:
                 pass

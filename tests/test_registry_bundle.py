@@ -49,6 +49,30 @@ class TestRegistryDocuments:
         assert parse_registry(text) == kb
         assert serialize_registry(parse_registry(text)) == text
 
+    def test_round_trip_typed_standing_attributes(self):
+        # the e-health registry holds only untyped certificates; this covers the
+        # value types and an attribute_id that differs from the name
+        subject_attrs = (
+            AttributeDescriptor("cert-7", "doctor", "hospital_ADMIN", True),
+            AttributeDescriptor("years_of_service", "years_of_service", value=12),
+            AttributeDescriptor("on_call", "on_call", value=True),
+            AttributeDescriptor("fte", "fte", value=0.1),
+            AttributeDescriptor("shift", "shift", "hospital_ADMIN", value="night"),
+        )
+        kb = KnowledgeBase(
+            subjects={"ann": RegistryEntry((ConceptRef("SO", "doctor"),), subject_attrs)},
+            objects={"records/x": RegistryEntry((), (AttributeDescriptor("tag-1", "patients"),))},
+        )
+        text = serialize_registry(kb)
+        parsed = parse_registry(text)
+        assert parsed == kb
+        assert serialize_registry(parsed) == text
+        # == alone would let True pass for 1 and 12 for 12.0
+        values = [a.value for a in parsed.subjects["ann"].attributes]
+        assert [type(v) for v in values] == [type(None), int, bool, float, str]
+        assert 'attribute_id="cert-7"' in text
+        assert 'type="int"' in text and 'type="bool"' in text and 'type="decimal"' in text
+
     def test_fixture_file_is_canonical(self, ehealth):
         _, kb = ehealth
         on_disk = (EHEALTH / "ehealth_registry.xml").read_text(encoding="utf-8")

@@ -1,6 +1,7 @@
 """Gateway end-to-end: proxying, decision endpoint, admin reloads, audit."""
 
 import json
+import socket
 
 import pytest
 import requests
@@ -15,6 +16,16 @@ def read_audit(path):
     if not path.exists():
         return []
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def raw_exchange(port, request: bytes) -> bytes:
+    """Send raw bytes and read until the gateway closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def proxy_get(base, path, subject=None, purpose=None, headers=None, method="GET", **kw):
@@ -254,6 +265,38 @@ class TestDecideEndpoint:
         assert r.status_code == 400
 
 
+class TestContentLength:
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    @pytest.mark.parametrize(
+        "target", ["POST /pdp/decide", "GET /proxy/records/jen?purpose=treat"]
+    )
+    def test_bad_length_400_closes_and_audits_once(self, gateway, target, length):
+        gw, _, stub, audit_path = gateway
+        before = len(read_audit(audit_path))
+        request = (
+            f"{target} HTTP/1.1\r\nHost: gw\r\nX-Subject: joan\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        reply = raw_exchange(gw.bound_port, request.encode("latin-1"))
+        head = reply.partition(b"\r\n\r\n")[0].decode("latin-1").split("\r\n")
+        assert head[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in head
+        records = read_audit(audit_path)
+        assert len(records) == before + 1
+        assert records[-1]["decision"] == "error"
+        assert stub.hit_count == 0
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_length_on_admin_upload_400(self, gateway, length):
+        gw, base, _, audit_path = gateway
+        request = f"PUT /admin/policy HTTP/1.1\r\nHost: gw\r\nContent-Length: {length}\r\n\r\n"
+        reply = raw_exchange(gw.bound_port, request.encode("latin-1"))
+        head = reply.partition(b"\r\n\r\n")[0].decode("latin-1").split("\r\n")
+        assert head[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in head
+        assert requests.get(f"{base}/admin/version", timeout=10).json() == {"version": 1}
+
+
 class TestAdminReload:
     def test_policy_swap_bumps_version(self, gateway):
         _, base, _, _ = gateway
@@ -333,7 +376,7 @@ class TestAuditLog:
         records = read_audit(audit_path)
         assert len(records) == 3
         permit, deny, error = records
-        for record in (permit, deny):
+        for record in (permit, deny, error):
             for key in ("ts", "subject", "object", "action", "purpose",
                         "decision", "masked", "matched_rule", "latency_ms"):
                 assert key in record, key
