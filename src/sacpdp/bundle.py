@@ -12,15 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ActivationError, ConfigError, SacError
-from .ontology import load_ontology
+from .errors import ActivationError, ConfigError, SacError, WrongOntologyTagError
+from .ontology import ONTOLOGY_KINDS, load_ontology
 from .pdp import PolicyStore, activate_store
 from .registry import KnowledgeBase, parse_registry
 from .xmlio import parse_policy, parse_purposes
 
-DOCUMENT_KEYS = ("so", "oo", "ao", "ato", "purposes", "policy", "registry")
-# bundle key -> the kind its ontology document must declare
-_KIND_BY_KEY = {"so": "SO", "oo": "OO", "ao": "AO", "ato": "AtO"}
+# Every document slot: slot -> (bundle key, path under the gateway's /admin/).
+# An ontology slot is named by the kind its document must declare.
+SLOTS = {
+    "SO": ("so", "ontology/SO"),
+    "OO": ("oo", "ontology/OO"),
+    "AO": ("ao", "ontology/AO"),
+    "AtO": ("ato", "ontology/AtO"),
+    "purposes": ("purposes", "purposes"),
+    "policy": ("policy", "policy"),
+    "registry": ("registry", "registry"),
+}
+DOCUMENT_KEYS = tuple(key for key, _ in SLOTS.values())
+ADMIN_PATHS = {path: slot for slot, (_, path) in SLOTS.items()}
 
 
 def parse_kv_config(path: Path) -> dict[str, str]:
@@ -79,6 +89,35 @@ def _read(path: Path) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def parse_document(slot: str, text: str | bytes, source: str = ""):
+    """Parse the document for one slot; ``source`` names a policy's origin."""
+    if slot == "policy":
+        return parse_policy(text, source=source)
+    if slot == "purposes":
+        return parse_purposes(text)
+    if slot == "registry":
+        return parse_registry(text)
+    graph = load_ontology(text)
+    if graph.kind != slot:
+        raise WrongOntologyTagError(f"declared kind {graph.kind}, expected {slot}")
+    return graph
+
+
+def assemble(docs: dict, trusted_soas, version: int) -> tuple[list[str], PolicyStore | None]:
+    """Activate a store from every slot but the registry, then check the
+    registry (when given) against its graphs; the store only if nothing is found."""
+    findings: list[str] = []
+    graphs = {kind: docs[kind] for kind in ONTOLOGY_KINDS}
+    store = None
+    try:
+        store = activate_store(docs["policy"], graphs, docs["purposes"], trusted_soas, version=version)
+    except ActivationError as exc:
+        findings.extend(exc.findings)
+    if "registry" in docs:
+        findings.extend(docs["registry"].validate(graphs))
+    return findings, None if findings else store
+
+
 def validate_bundle(bundle: Bundle) -> tuple[list[str], PolicyStore | None, KnowledgeBase | None]:
     """Parse and cross-validate every document, collecting ALL findings.
 
@@ -86,41 +125,21 @@ def validate_bundle(bundle: Bundle) -> tuple[list[str], PolicyStore | None, Know
     callers can distinguish I/O failure from validation failure.
     """
     findings: list[str] = []
-    parsed = {}
-    for key in DOCUMENT_KEYS:
+    docs = {}
+    for slot, (key, _) in SLOTS.items():
         path = bundle.documents[key]
         text = _read(path)
         try:
-            if key == "purposes":
-                document = parse_purposes(text)
-            elif key == "policy":
-                document = parse_policy(text, source=path.name)
-            elif key == "registry":
-                document = parse_registry(text)
-            else:
-                document = load_ontology(text)
-                expected = _KIND_BY_KEY[key]
-                if document.kind != expected:
-                    findings.append(f"{path.name}: declared kind {document.kind}, expected {expected}")
-                    continue
+            docs[slot] = parse_document(slot, text, source=path.name)
         except SacError as exc:
             findings.append(f"{path.name}: {exc}")
-            continue
-        parsed[key] = document
-
-    graphs = {kind: parsed[key] for key, kind in _KIND_BY_KEY.items() if key in parsed}
-    tree, policy, kb = parsed.get("purposes"), parsed.get("policy"), parsed.get("registry")
     store = None
-    if len(graphs) == 4 and tree is not None and policy is not None:
-        try:
-            store = activate_store(policy, graphs, tree, bundle.trusted_soas, version=1)
-        except ActivationError as exc:
-            findings.extend(exc.findings)
-        if kb is not None:
-            findings.extend(kb.validate(graphs))
+    if docs.keys() >= SLOTS.keys() - {"registry"}:
+        assembled, store = assemble(docs, bundle.trusted_soas, version=1)
+        findings.extend(assembled)
     if findings:
         store = None
-    return findings, store, kb
+    return findings, store, docs.get("registry")
 
 
 def build_store(bundle: Bundle) -> tuple[PolicyStore, KnowledgeBase]:

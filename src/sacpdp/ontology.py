@@ -327,11 +327,7 @@ _EDGE_TAGS = {"isa", "inherits", "equiv", "arc"}
 
 def load_ontology(text: str | bytes) -> OntologyGraph:
     """Parse and validate one ontology document."""
-    root = xmlbase.parse_xml(text)
-    if root.tag != "ontology":
-        raise UnknownElementError(
-            f"expected <ontology> root, found <{root.tag}>", root.line, root.column
-        )
+    root = xmlbase.parse_root(text, "ontology")
     kind = root.get("kind", "")
     if kind not in ONTOLOGY_KINDS:
         raise WrongOntologyTagError(f"unknown ontology kind {kind!r}")
@@ -356,11 +352,7 @@ def load_ontology(text: str | bytes) -> OntologyGraph:
         elif child.tag == "arc":
             arcs.append((_need(child, "from"), _need(child, "label"), _need(child, "to")))
         else:
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in ontology document",
-                child.line,
-                child.column,
-            )
+            raise xmlbase.unexpected(child, "in ontology document")
     return build_graph(kind, nodes, isa, inherit, equiv, arcs)
 
 

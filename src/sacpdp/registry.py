@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import xmlbase
-from .errors import DocumentError, DuplicateIdError, UnknownElementError, UnknownPurposeError
+from .errors import DocumentError, DuplicateIdError, UnknownPurposeError
 from .ontology import AttributeDescriptor, ConceptRef
 from .pdp import AccessRequest, PolicyStore
 from .policy import Scalar
@@ -93,32 +93,22 @@ def _parse_entry(node: xmlbase.XmlNode, concept_kind: str) -> RegistryEntry:
         elif child.tag == "attribute":
             attributes.append(parse_wire_attribute(child))
         else:
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <{node.tag}>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, f"in <{node.tag}>")
     return RegistryEntry(concepts=tuple(concepts), attributes=tuple(attributes))
 
 
 def parse_registry(text: str | bytes) -> KnowledgeBase:
-    root = xmlbase.parse_xml(text)
-    if root.tag != "registry":
-        raise UnknownElementError(
-            f"expected <registry> root, found <{root.tag}>", root.line, root.column
-        )
+    root = xmlbase.parse_root(text, "registry")
     subjects: dict[str, RegistryEntry] = {}
     objects: dict[str, RegistryEntry] = {}
     specs: list[ContextAttributeSpec] = []
     for child in root.children:
-        if child.tag == "subject":
-            sid = required_attr(child, "id")
-            if sid in subjects:
-                raise DuplicateIdError(f"subject {sid!r} declared twice")
-            subjects[sid] = _parse_entry(child, "SO")
-        elif child.tag == "object":
-            oid = required_attr(child, "id")
-            if oid in objects:
-                raise DuplicateIdError(f"object {oid!r} declared twice")
-            objects[oid] = _parse_entry(child, "OO")
+        if child.tag in ("subject", "object"):
+            entries, concept_kind = (subjects, "SO") if child.tag == "subject" else (objects, "OO")
+            entry_id = required_attr(child, "id")
+            if entry_id in entries:
+                raise DuplicateIdError(f"{child.tag} {entry_id!r} declared twice")
+            entries[entry_id] = _parse_entry(child, concept_kind)
         elif child.tag == "context_attribute":
             kind = required_attr(child, "kind")
             if kind == "int":
@@ -144,9 +134,7 @@ def parse_registry(text: str | bytes) -> KnowledgeBase:
                     child.column,
                 )
         else:
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <registry>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, "in <registry>")
     return KnowledgeBase(subjects=subjects, objects=objects, context_specs=tuple(specs))
 
 

@@ -21,15 +21,23 @@ from urllib.parse import parse_qs, urlsplit
 
 import requests as _requests
 
-from .bundle import Bundle, build_store, load_bundle, parse_kv_config
+from .bundle import (
+    ADMIN_PATHS,
+    SLOTS,
+    Bundle,
+    assemble,
+    build_store,
+    load_bundle,
+    parse_document,
+    parse_kv_config,
+)
 from .errors import ActivationError, ConfigError, SacError, UnknownPurposeError
-from .ontology import ONTOLOGY_KINDS, AttributeDescriptor, load_ontology
-from .pdp import Decision, DecisionValue, PolicyStore, activate_store, decide, explain
-from .registry import KnowledgeBase, build_access_request, parse_registry
+from .ontology import AttributeDescriptor
+from .pdp import Decision, DecisionValue, PolicyStore, decide, explain
+from .registry import KnowledgeBase, build_access_request
 from .xmlio import (
     XacmlRequestDoc,
-    parse_policy,
-    parse_purposes,
+    parse_scalar,
     parse_xacml_request,
     response_doc_for,
     serialize_xacml_response,
@@ -101,7 +109,8 @@ def _parse_attribute_header(raw: str) -> AttributeDescriptor:
 
 
 def _parse_context_header(raw: str) -> tuple[str, object]:
-    """``key=value; type=int`` context values; type defaults to string."""
+    """``key=value; type=int`` context values; ``type`` takes the documents'
+    value types and defaults to string."""
     head, _, tail = raw.partition(";")
     key, eq, value = head.partition("=")
     key, value = key.strip(), value.strip()
@@ -113,17 +122,7 @@ def _parse_context_header(raw: str) -> tuple[str, object]:
         if tkey.strip() != "type":
             raise ValueError(f"unknown context header field {tkey.strip()!r}")
         kind = tvalue.strip()
-    if kind == "int":
-        return key, int(value)
-    if kind == "decimal":
-        return key, float(value)
-    if kind == "bool":
-        if value not in ("true", "false"):
-            raise ValueError(f"bad bool context value {value!r}")
-        return key, value == "true"
-    if kind == "string":
-        return key, value
-    raise ValueError(f"unknown context value type {kind!r}")
+    return key, parse_scalar(kind, value)
 
 
 class Gateway:
@@ -159,43 +158,19 @@ class Gateway:
         findings report when the candidate assembly does not validate; the
         previous state stays active in that case.
         """
+        if slot not in SLOTS:
+            raise ActivationError([f"unknown admin slot {slot!r}"])
         with self._swap_lock:
             store, kb = self._state
-            graphs = dict(store.graphs)
-            policy, purposes = store.policy, store.purposes
-            new_kb = kb
+            docs = {**store.graphs, "purposes": store.purposes, "policy": store.policy, "registry": kb}
             try:
-                if slot == "policy":
-                    policy = parse_policy(text, source="admin upload")
-                elif slot in ONTOLOGY_KINDS:
-                    graph = load_ontology(text)
-                    if graph.kind != slot:
-                        raise ActivationError(
-                            [f"uploaded ontology declares kind {graph.kind}, expected {slot}"]
-                        )
-                    graphs[slot] = graph
-                elif slot == "purposes":
-                    purposes = parse_purposes(text)
-                elif slot == "registry":
-                    new_kb = parse_registry(text)
-                else:
-                    raise ActivationError([f"unknown admin slot {slot!r}"])
-            except ActivationError:
-                raise
+                docs[slot] = parse_document(slot, text, source="admin upload")
             except SacError as exc:
                 raise ActivationError([str(exc)]) from exc
-            findings: list[str] = []
-            try:
-                candidate = activate_store(
-                    policy, graphs, purposes, store.trusted_soas, version=store.version + 1
-                )
-            except ActivationError as exc:
-                findings.extend(exc.findings)
-                candidate = None
-            findings.extend(new_kb.validate(graphs))
+            findings, candidate = assemble(docs, store.trusted_soas, version=store.version + 1)
             if findings or candidate is None:
                 raise ActivationError(findings or ["activation failed"])
-            self._state = (candidate, new_kb)
+            self._state = (candidate, docs["registry"])
             return candidate.version
 
     # -- audit ---------------------------------------------------------------
@@ -321,37 +296,47 @@ class GatewayHandler(BaseHTTPRequestHandler):
         parts = urlsplit(self.path)
         path = parts.path
         try:
-            if path == "/healthz" and method in ("GET", "HEAD"):
-                self._send(200, b"ok\n")
-            elif path == "/admin/version" and method in ("GET", "HEAD"):
-                body = json.dumps({"version": self.server.gateway.version}).encode() + b"\n"
-                self._send(200, body, "application/json")
-            elif path.startswith("/admin/") and method == "PUT":
-                self._admin(path[len("/admin/") :])
-            elif path == "/pdp/decide" and method == "POST":
+            if path == "/pdp/decide" and method == "POST":
                 self._pdp_decide()
             elif path == "/proxy" or path.startswith("/proxy/"):
                 self._proxy(method, parts)
             else:
-                self._send(404, b"not found\n")
+                self._local(method, path)
         except BrokenPipeError:  # client went away mid-response
             pass
 
     # -- endpoints -----------------------------------------------------------
 
-    def _admin(self, slot: str) -> None:
-        if slot.startswith("ontology/"):
-            slot = slot[len("ontology/") :]
-        if slot not in ("policy", "purposes", "registry") and slot not in ONTOLOGY_KINDS:
-            self._send(404, f"unknown admin slot {slot!r}\n".encode())
-            return
+    def _local(self, method: str, path: str) -> None:
+        """Health, version and admin requests, and every 404.  The body is read
+        first, used or not, so the next request on the connection starts
+        where this one ends."""
         try:
-            text = self._body().decode("utf-8")
-        except UnicodeDecodeError:
-            self._send(400, b"body is not valid UTF-8\n")
-            return
+            body = self._body()
         except ValueError as exc:
             self._send(400, f"{exc}\n".encode())
+            return
+        if path == "/healthz" and method in ("GET", "HEAD"):
+            self._send(200, b"ok\n")
+        elif path == "/admin/version" and method in ("GET", "HEAD"):
+            self._send_version(self.server.gateway.version)
+        elif path.startswith("/admin/") and method == "PUT":
+            self._admin(path[len("/admin/") :], body)
+        else:
+            self._send(404, b"not found\n")
+
+    def _send_version(self, version: int) -> None:
+        self._send(200, json.dumps({"version": version}).encode() + b"\n", "application/json")
+
+    def _admin(self, name: str, body: bytes) -> None:
+        slot = ADMIN_PATHS.get(name)
+        if slot is None:
+            self._send(404, f"unknown admin slot {name!r}\n".encode())
+            return
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError:
+            self._send(400, b"body is not valid UTF-8\n")
             return
         try:
             version = self.server.gateway.admin_load(slot, text)
@@ -359,14 +344,13 @@ class GatewayHandler(BaseHTTPRequestHandler):
             report = "\n".join(exc.findings) + "\n"
             self._send(422, report.encode())
             return
-        body = json.dumps({"version": version}).encode() + b"\n"
-        self._send(200, body, "application/json")
+        self._send_version(version)
 
     def _pdp_decide(self) -> None:
         started = time.monotonic()
         store, kb = self.server.gateway.snapshot()
         try:
-            wire = parse_xacml_request(self._body().decode("utf-8", errors="replace"))
+            wire = parse_xacml_request(self._body())
         except (SacError, ValueError) as exc:
             self._audit(started, None, None, None, None)
             self._send(400, f"{exc}\n".encode())
@@ -408,7 +392,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
             for raw in self.headers.get_all("X-Context") or []:
                 key, value = _parse_context_header(raw)
                 environment[key] = value
-        except ValueError as exc:
+        except (SacError, ValueError) as exc:
             problems.append(str(exc))
         if problems:
             self._audit(started, subject_id, object_id or None, action_id, purpose or None)

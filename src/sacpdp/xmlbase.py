@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from xml.parsers import expat
 from xml.sax.saxutils import escape
 
-from .errors import MalformedXmlError
+from .errors import MalformedXmlError, UnknownElementError
 
 _ATTR_ESCAPES = {'"': "&quot;", "\n": "&#10;", "\t": "&#9;", "\r": "&#13;"}
 
@@ -101,6 +101,24 @@ def parse_xml(text: str | bytes) -> XmlNode:
     tree = root[0]
     _strip_whitespace(tree)
     return tree
+
+
+def parse_root(text: str | bytes, tag: str) -> XmlNode:
+    """Parse a document whose root element must be ``<tag>``."""
+    root = parse_xml(text)
+    if root.tag != tag:
+        raise UnknownElementError(
+            f"expected <{tag}> root, found <{root.tag}>", root.line, root.column
+        )
+    return root
+
+
+def unexpected(child: XmlNode, where: str) -> UnknownElementError:
+    """The error for a child element the schema does not allow ``where``
+    (a phrase such as ``in <Target>``)."""
+    return UnknownElementError(
+        f"unexpected element <{child.tag}> {where}", child.line, child.column
+    )
 
 
 def _strip_whitespace(node: XmlNode) -> None:

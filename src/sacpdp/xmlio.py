@@ -28,7 +28,6 @@ from .errors import (
     DuplicateRuleNameError,
     MissingCategoryError,
     UnknownConditionTypeError,
-    UnknownElementError,
     UnknownOntologyRefError,
 )
 from .ontology import ONTOLOGY_KINDS, AttributeDescriptor, ConceptRef, WILDCARD_ID
@@ -87,24 +86,27 @@ def _parse_bool_attr(node: XmlNode, name: str, default: bool) -> bool:
 _VALUE_TYPES = ("string", "int", "bool", "decimal")
 
 
-def _parse_scalar(value_type: str, text: str, node: XmlNode) -> Scalar:
+def parse_scalar(value_type: str, text: str, node: XmlNode | None = None) -> Scalar:
+    """A typed value from its text; ``node`` (when the text came from a
+    document) gives DocumentError its position."""
+    line, column = (node.line, node.column) if node is not None else (0, 0)
     if value_type == "string":
         return text
     if value_type == "int":
         try:
             return int(text)
         except ValueError:
-            raise DocumentError(f"not an int: {text!r}", node.line, node.column) from None
+            raise DocumentError(f"not an int: {text!r}", line, column) from None
     if value_type == "decimal":
         try:
             return float(text)
         except ValueError:
-            raise DocumentError(f"not a decimal: {text!r}", node.line, node.column) from None
+            raise DocumentError(f"not a decimal: {text!r}", line, column) from None
     if value_type == "bool":
         if text not in ("true", "false"):
-            raise DocumentError(f"not a bool: {text!r}", node.line, node.column)
+            raise DocumentError(f"not a bool: {text!r}", line, column)
         return text == "true"
-    raise DocumentError(f"unknown valueType {value_type!r}", node.line, node.column)
+    raise DocumentError(f"unknown valueType {value_type!r}", line, column)
 
 
 def _value_type_of(node: XmlNode) -> str:
@@ -137,11 +139,7 @@ def _parse_condition(node: XmlNode) -> ConditionExpr:
         children = []
         for child in node.children:
             if child.tag != "Condition":
-                raise UnknownElementError(
-                    f"unexpected element <{child.tag}> inside <Condition type={kind!r}>",
-                    child.line,
-                    child.column,
-                )
+                raise xmlbase.unexpected(child, f"inside <Condition type={kind!r}>")
             children.append(_parse_condition(child))
         if not children:
             raise DocumentError(
@@ -161,12 +159,8 @@ def _parse_condition(node: XmlNode) -> ConditionExpr:
         members = []
         for child in node.children:
             if child.tag != "value":
-                raise UnknownElementError(
-                    f"unexpected element <{child.tag}> inside <Condition type=\"In\">",
-                    child.line,
-                    child.column,
-                )
-            members.append(_parse_scalar(value_type, child.text, child))
+                raise xmlbase.unexpected(child, 'inside <Condition type="In">')
+            members.append(parse_scalar(value_type, child.text, child))
         if not members:
             raise DocumentError(
                 "<Condition type=\"In\"> needs at least one <value>", node.line, node.column
@@ -179,7 +173,7 @@ def _parse_condition(node: XmlNode) -> ConditionExpr:
             node.line,
             node.column,
         )
-    return Atom(attribute, op, _parse_scalar(value_type, reference, node))
+    return Atom(attribute, op, parse_scalar(value_type, reference, node))
 
 
 def _condition_node(expr: ConditionExpr) -> XmlNode:
@@ -251,9 +245,7 @@ def _parse_target(node: XmlNode):
             var = AttributeVariable(required_attr(child, "name"), side)
             (subject_vars if side == "subject" else object_vars).append(var)
         else:
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <Target>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, "in <Target>")
     return refs["Subject"], refs["Object"], refs["Action"], tuple(subject_vars), tuple(object_vars)
 
 
@@ -261,11 +253,7 @@ def _parse_attribute_set(node: XmlNode) -> tuple:
     required = []
     for child in node.children:
         if child.tag != "spl:attribute":
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <spl:attribute_Set>",
-                child.line,
-                child.column,
-            )
+            raise xmlbase.unexpected(child, "in <spl:attribute_Set>")
         name_el = child.find("spl:attribute_Name")
         if name_el is None or not name_el.text:
             raise DocumentError(
@@ -274,11 +262,7 @@ def _parse_attribute_set(node: XmlNode) -> tuple:
         soa_el = child.find("spl:SOA_ID")
         for sub in child.children:
             if sub.tag not in ("spl:attribute_Name", "spl:SOA_ID"):
-                raise UnknownElementError(
-                    f"unexpected element <{sub.tag}> in <spl:attribute>",
-                    sub.line,
-                    sub.column,
-                )
+                raise xmlbase.unexpected(sub, "in <spl:attribute>")
         required.append(
             AttributeDescriptor(
                 attribute_id=child.get("attributeID") or name_el.text,
@@ -320,9 +304,7 @@ def _parse_rule_element(node: XmlNode, default_name: str) -> AccessRule:
     seen: set[str] = set()
     for child in node.children:
         if child.tag not in _RULE_CHILD_TAGS:
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <{node.tag}>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, f"in <{node.tag}>")
         if child.tag in seen:
             raise DocumentError(
                 f"<{node.tag}> has more than one <{child.tag}>", child.line, child.column
@@ -413,18 +395,12 @@ def _rule_attrs(rule: AccessRule) -> dict[str, str]:
 
 
 def parse_policy(text: str | bytes, source: str = "") -> PolicyDocument:
-    root = xmlbase.parse_xml(text)
-    if root.tag != "spl:policy":
-        raise UnknownElementError(
-            f"expected <spl:policy> root, found <{root.tag}>", root.line, root.column
-        )
+    root = xmlbase.parse_root(text, "spl:policy")
     version = root.get("version", "1")
     rules_el = None
     for child in root.children:
         if child.tag != "spl:access_Rules":
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <spl:policy>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, "in <spl:policy>")
         if rules_el is not None:
             raise DocumentError(
                 "<spl:policy> has more than one <spl:access_Rules>", child.line, child.column
@@ -436,11 +412,7 @@ def parse_policy(text: str | bytes, source: str = "") -> PolicyDocument:
     names: set[str] = set()
     for index, child in enumerate(rules_el.children):
         if child.tag != "spl:access_Rule":
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <spl:access_Rules>",
-                child.line,
-                child.column,
-            )
+            raise xmlbase.unexpected(child, "in <spl:access_Rules>")
         rule = _parse_rule_element(child, default_name=f"rule_{index}")
         if rule.name in names:
             raise DuplicateRuleNameError(
@@ -466,11 +438,7 @@ def serialize_policy(doc: PolicyDocument) -> str:
 
 def parse_rule(text: str | bytes) -> AccessRule:
     """Parse a standalone rule document (root element ``<rule>``)."""
-    root = xmlbase.parse_xml(text)
-    if root.tag != "rule":
-        raise UnknownElementError(
-            f"expected <rule> root, found <{root.tag}>", root.line, root.column
-        )
+    root = xmlbase.parse_root(text, "rule")
     return _parse_rule_element(root, default_name="rule")
 
 
@@ -482,17 +450,11 @@ def serialize_rule(rule: AccessRule) -> str:
 
 
 def parse_purposes(text: str | bytes) -> PurposeTree:
-    root = xmlbase.parse_xml(text)
-    if root.tag != "purposes":
-        raise UnknownElementError(
-            f"expected <purposes> root, found <{root.tag}>", root.line, root.column
-        )
+    root = xmlbase.parse_root(text, "purposes")
     parents: dict[str, str | None] = {}
     for child in root.children:
         if child.tag != "purpose":
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <purposes>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, "in <purposes>")
         pid = required_attr(child, "id")
         if pid in parents:
             raise DuplicateIdError(f"purpose {pid!r} declared twice")
@@ -555,7 +517,7 @@ def parse_wire_attribute(node: XmlNode) -> AttributeDescriptor:
     raw_value = node.get("value")
     value: Scalar | None = None
     if raw_value is not None:
-        value = _parse_scalar(node.get("type", "string"), raw_value, node)
+        value = parse_scalar(node.get("type", "string"), raw_value, node)
     return AttributeDescriptor(
         attribute_id=node.get("attribute_id") or name,
         name=name,
@@ -566,16 +528,10 @@ def parse_wire_attribute(node: XmlNode) -> AttributeDescriptor:
 
 
 def parse_xacml_request(text: str | bytes) -> XacmlRequestDoc:
-    root = xmlbase.parse_xml(text)
-    if root.tag != "request":
-        raise UnknownElementError(
-            f"expected <request> root, found <{root.tag}>", root.line, root.column
-        )
+    root = xmlbase.parse_root(text, "request")
     for child in root.children:
         if child.tag not in ("subject", "resource", "action", "purpose", "environment"):
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <request>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, "in <request>")
     for category in ("subject", "resource", "action", "environment", "purpose"):
         if root.find(category) is None:
             raise MissingCategoryError(
@@ -585,19 +541,15 @@ def parse_xacml_request(text: str | bytes) -> XacmlRequestDoc:
     attributes = []
     for child in subject.children:
         if child.tag != "attribute":
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <subject>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, "in <subject>")
         attributes.append(parse_wire_attribute(child))
     environment: dict[str, Scalar] = {}
     env = root.find("environment")
     for child in env.children:
         if child.tag != "attribute":
-            raise UnknownElementError(
-                f"unexpected element <{child.tag}> in <environment>", child.line, child.column
-            )
+            raise xmlbase.unexpected(child, "in <environment>")
         name = required_attr(child, "name")
-        environment[name] = _parse_scalar(child.get("type", "string"), required_attr(child, "value"), child)
+        environment[name] = parse_scalar(child.get("type", "string"), required_attr(child, "value"), child)
     return XacmlRequestDoc(
         subject_id=required_attr(subject, "id"),
         subject_attributes=tuple(attributes),
@@ -694,11 +646,7 @@ def serialize_xacml_response(doc: XacmlResponseDoc) -> str:
 
 
 def parse_xacml_response(text: str | bytes) -> XacmlResponseDoc:
-    root = xmlbase.parse_xml(text)
-    if root.tag != "response":
-        raise UnknownElementError(
-            f"expected <response> root, found <{root.tag}>", root.line, root.column
-        )
+    root = xmlbase.parse_root(text, "response")
     decision = root.find("decision")
     status = root.find("status")
     if decision is None or not decision.text:

@@ -1,6 +1,7 @@
 """Gateway end-to-end: proxying, decision endpoint, admin reloads, audit."""
 
 import json
+import re
 import socket
 
 import pytest
@@ -8,7 +9,7 @@ import requests
 
 from conftest import EHEALTH, GOLDEN, write_gateway_conf
 from sacpdp.ontology import load_ontology, serialize_ontology
-from sacpdp.service import Gateway, load_gateway_config
+from sacpdp.service import Gateway, _parse_context_header, load_gateway_config
 from sacpdp.xmlio import parse_xacml_response
 
 
@@ -26,6 +27,11 @@ def raw_exchange(port, request: bytes) -> bytes:
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def statuses(reply: bytes) -> list[int]:
+    """The status code of every response in a raw keep-alive exchange."""
+    return [int(code) for code in re.findall(rb"^HTTP/1\.1 (\d{3}) ", reply, re.M)]
 
 
 def proxy_get(base, path, subject=None, purpose=None, headers=None, method="GET", **kw):
@@ -54,6 +60,28 @@ class TestPlumbing:
     def test_unknown_path_404(self, gateway):
         _, base, _, _ = gateway
         assert requests.get(f"{base}/nowhere", timeout=10).status_code == 404
+
+    @pytest.mark.parametrize(
+        "first, status",
+        [
+            ("GET /healthz", 200),
+            ("GET /admin/version", 200),
+            ("GET /nowhere", 404),
+            ("PUT /admin/wardrobe", 404),
+        ],
+    )
+    def test_unused_body_is_consumed(self, gateway, first, status):
+        # a body no endpoint reads must not be parsed as the next request
+        gw, _, _, _ = gateway
+        body = b"GET /nowhere X"
+        request = (
+            f"{first} HTTP/1.1\r\nHost: gw\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+            + body
+            + b"GET /admin/version HTTP/1.1\r\nHost: gw\r\nConnection: close\r\n\r\n"
+        )
+        reply = raw_exchange(gw.bound_port, request)
+        assert statuses(reply) == [status, 200]
+        assert reply.endswith(b'{"version": 1}\n')
 
 
 class TestProxyDecisions:
@@ -183,13 +211,53 @@ class TestProxyErrors:
         r = requests.get(f"{base}/proxy/?purpose=treat", timeout=10)
         assert r.status_code == 400
 
-    def test_bad_context_header_400(self, gateway):
-        _, base, _, _ = gateway
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("garbage-without-equals", "context header needs key=value: 'garbage-without-equals'"),
+            ("years_of_service=five; type=int", "not an int: 'five'"),
+            ("years_of_service=5,5; type=decimal", "not a decimal: '5,5'"),
+            ("urgent=yes; type=bool", "not a bool: 'yes'"),
+            ("years_of_service=5; type=integer", "unknown valueType 'integer'"),
+        ],
+        ids=["garbage", "int", "decimal", "bool", "type"],
+    )
+    def test_bad_context_header_400(self, gateway, header, message):
+        _, base, stub, audit_path = gateway
         r = proxy_get(
-            base, "records/jen", subject="joan", purpose="treat",
-            headers={"X-Context": "garbage-without-equals"},
+            base, "records/jen", subject="joan", purpose="treat", headers={"X-Context": header}
         )
         assert r.status_code == 400
+        assert r.text == message + "\n"
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
+        assert stub.hit_count == 0
+
+    @pytest.mark.parametrize(
+        "header, value",
+        [
+            ("n=5; type=int", 5),
+            ("w=72.5; type=decimal", 72.5),
+            ("urgent=true; type=bool", True),
+            ("consent=given", "given"),
+        ],
+    )
+    def test_context_header_values_typed(self, header, value):
+        parsed = _parse_context_header(header)[1]
+        assert (type(parsed), parsed) == (type(value), value)
+
+    def test_typed_context_headers_decided(self, gateway):
+        gw, _, stub, audit_path = gateway
+        request = (
+            "GET /proxy/records/jen?purpose=treat HTTP/1.1\r\nHost: gw\r\nX-Subject: joan\r\n"
+            "X-Context: years_of_service=5; type=int\r\n"
+            "X-Context: urgent=true; type=bool\r\n"
+            "X-Context: weight=72.5; type=decimal\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        reply = raw_exchange(gw.bound_port, request.encode())
+        assert statuses(reply) == [200]
+        assert [record["decision"] for record in read_audit(audit_path)] == ["Permit"]
+        assert stub.hit_count == 1
 
     def test_bad_attribute_header_400(self, gateway):
         _, base, _, _ = gateway
@@ -255,6 +323,15 @@ class TestDecideEndpoint:
         assert r.status_code == 400
         assert read_audit(audit_path)[-1]["decision"] == "error"
 
+    def test_invalid_utf8_400_audited_once(self, gateway):
+        _, base, _, audit_path = gateway
+        body = (EHEALTH / "requests" / "01_doctor_reads_record.xml").read_bytes()
+        body = body.replace(b'"joan"', b'"jo\xffan"')
+        r = requests.post(f"{base}/pdp/decide", data=body, timeout=10)
+        assert r.status_code == 400
+        assert "not valid UTF-8" in r.text
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
+
     def test_unknown_purpose_400(self, gateway):
         _, base, _, _ = gateway
         body = (
@@ -295,6 +372,15 @@ class TestContentLength:
         assert head[0] == "HTTP/1.1 400 Bad Request"
         assert "Connection: close" in head
         assert requests.get(f"{base}/admin/version", timeout=10).json() == {"version": 1}
+
+    @pytest.mark.parametrize("target", ["GET /healthz", "GET /nowhere"])
+    def test_bad_length_on_unread_body_400(self, gateway, target):
+        gw, _, _, _ = gateway
+        request = f"{target} HTTP/1.1\r\nHost: gw\r\nContent-Length: abc\r\n\r\n"
+        reply = raw_exchange(gw.bound_port, request.encode("latin-1"))
+        head = reply.partition(b"\r\n\r\n")[0].decode("latin-1").split("\r\n")
+        assert head[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in head
 
 
 class TestAdminReload:
@@ -339,7 +425,7 @@ class TestAdminReload:
         oo = (EHEALTH / "ehealth_oo.xml").read_bytes()
         r = requests.put(f"{base}/admin/ontology/SO", data=oo, timeout=10)
         assert r.status_code == 422
-        assert "declares kind OO" in r.text
+        assert "declared kind OO, expected SO" in r.text
 
     def test_registry_swap(self, gateway):
         _, base, _, _ = gateway
@@ -363,6 +449,17 @@ class TestAdminReload:
         _, base, _, _ = gateway
         r = requests.put(f"{base}/admin/wardrobe", data=b"x", timeout=10)
         assert r.status_code == 404
+
+    @pytest.mark.parametrize(
+        "path, document",
+        [("/admin/SO", "ehealth_so.xml"), ("/admin/ontology/policy", "ehealth_policy.xml")],
+    )
+    def test_undocumented_admin_paths_404(self, gateway, path, document):
+        # only the documented paths exist, even for a document that would load
+        _, base, _, _ = gateway
+        r = requests.put(f"{base}{path}", data=(EHEALTH / document).read_bytes(), timeout=10)
+        assert r.status_code == 404
+        assert requests.get(f"{base}/admin/version", timeout=10).json() == {"version": 1}
 
 
 class TestAuditLog:

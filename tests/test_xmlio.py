@@ -18,7 +18,9 @@ from sacpdp.errors import (
     UnknownElementError,
     UnknownOntologyRefError,
 )
+from sacpdp.ontology import load_ontology
 from sacpdp.policy import ANY_PURPOSE, Atom, Empty, Op
+from sacpdp.registry import parse_registry
 from sacpdp.xmlio import (
     XacmlRequestDoc,
     XacmlResponseDoc,
@@ -290,3 +292,76 @@ class TestResponseDocuments:
         reparsed = parse_xacml_response(serialize_xacml_response(doc))
         assert reparsed.rule is None
         assert reparsed.trace == ()
+
+
+# Every wrong-root and unexpected-child error of every document dialect, with
+# its exact message and position; the request cases share one skeleton.
+_REQUEST = (
+    '<request>\n<subject id="s">{subject}</subject>\n'
+    '<resource id="r"/><action id="a"/><purpose id="p"/>\n'
+    "<environment>{environment}</environment>\n</request>"
+)
+_DOCUMENT_ERRORS = [
+    (parse_policy, '<?xml version="1.0"?>\n<policy/>',
+     "expected <spl:policy> root, found <policy> (line 2, column 0)", 2),
+    (parse_policy, "<spl:policy>\n  <spl:rules/>\n</spl:policy>",
+     "unexpected element <spl:rules> in <spl:policy> (line 2, column 2)", 2),
+    (parse_policy, "<spl:policy>\n  <spl:access_Rules>\n    <rule/>\n  </spl:access_Rules>\n</spl:policy>",
+     "unexpected element <rule> in <spl:access_Rules> (line 3, column 4)", 3),
+    (parse_rule, "\n<spl:access_Rule/>",
+     "expected <rule> root, found <spl:access_Rule> (line 2, column 0)", 2),
+    (parse_rule, "<rule>\n  <Effect/>\n</rule>",
+     "unexpected element <Effect> in <rule> (line 2, column 2)", 2),
+    (parse_rule, '<rule>\n  <Target>\n    <Resource name="x"/>\n  </Target>\n</rule>',
+     "unexpected element <Resource> in <Target> (line 3, column 4)", 3),
+    (parse_rule, "<rule>\n  <spl:attribute_Set>\n    <attribute/>\n  </spl:attribute_Set>\n</rule>",
+     "unexpected element <attribute> in <spl:attribute_Set> (line 3, column 4)", 3),
+    (parse_rule,
+     "<rule><spl:attribute_Set>\n  <spl:attribute>\n    <spl:attribute_Name>a</spl:attribute_Name>\n"
+     "    <spl:Issuer/>\n  </spl:attribute>\n</spl:attribute_Set></rule>",
+     "unexpected element <spl:Issuer> in <spl:attribute> (line 4, column 4)", 4),
+    (parse_rule, '<rule>\n  <Condition type="And">\n    <Not/>\n  </Condition>\n</rule>',
+     "unexpected element <Not> inside <Condition type='And'> (line 3, column 4)", 3),
+    (parse_rule, '<rule>\n  <Condition type="In" attribute="a">\n    <item>x</item>\n  </Condition>\n</rule>',
+     'unexpected element <item> inside <Condition type="In"> (line 3, column 4)', 3),
+    (parse_purposes, '\n\n<purpose id="x"/>',
+     "expected <purposes> root, found <purpose> (line 3, column 0)", 3),
+    (parse_purposes, '<purposes>\n  <purpose id="a"/>\n  <goal id="b"/>\n</purposes>',
+     "unexpected element <goal> in <purposes> (line 3, column 2)", 3),
+    (parse_xacml_request, "<req/>",
+     "expected <request> root, found <req> (line 1, column 0)", 1),
+    (parse_xacml_request, "<request>\n  <subjects/>\n</request>",
+     "unexpected element <subjects> in <request> (line 2, column 2)", 2),
+    (parse_xacml_request, _REQUEST.format(subject='\n<role id="x"/>', environment=""),
+     "unexpected element <role> in <subject> (line 3, column 0)", 3),
+    (parse_xacml_request, _REQUEST.format(subject="", environment='\n<value name="x"/>'),
+     "unexpected element <value> in <environment> (line 5, column 0)", 5),
+    (parse_xacml_response, "\n<decision>Permit</decision>",
+     "expected <response> root, found <decision> (line 2, column 0)", 2),
+    (load_ontology, '<graph kind="SO"/>',
+     "expected <ontology> root, found <graph> (line 1, column 0)", 1),
+    (load_ontology, '<ontology kind="SO">\n  <concept id="a"/>\n  <node id="b"/>\n</ontology>',
+     "unexpected element <node> in ontology document (line 3, column 2)", 3),
+    (parse_registry, "\n<knowledge/>",
+     "expected <registry> root, found <knowledge> (line 2, column 0)", 2),
+    (parse_registry, '<registry>\n  <user id="x"/>\n</registry>',
+     "unexpected element <user> in <registry> (line 2, column 2)", 2),
+    (parse_registry, '<registry>\n  <subject id="x">\n    <role id="y"/>\n  </subject>\n</registry>',
+     "unexpected element <role> in <subject> (line 3, column 4)", 3),
+    (parse_registry,
+     '<registry>\n  <object id="x">\n    <concept id="y"/>\n    <owner/>\n  </object>\n</registry>',
+     "unexpected element <owner> in <object> (line 4, column 4)", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line",
+    _DOCUMENT_ERRORS,
+    ids=[f"{case[0].__name__}-{index}" for index, case in enumerate(_DOCUMENT_ERRORS)],
+)
+def test_document_error_messages_pinned(parse, text, message, line):
+    with pytest.raises(UnknownElementError) as err:
+        parse(text)
+    assert type(err.value) is UnknownElementError
+    assert str(err.value) == message
+    assert err.value.line == line
