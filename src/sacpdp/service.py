@@ -6,11 +6,17 @@ forwarded upstream on Permit.  POST /pdp/decide answers wire requests directly.
 PUT /admin/... swaps one document at a time; the whole assembly is revalidated
 and the swap is atomic, so concurrent decisions always see one consistent
 store version.
+
+Each response leaves in one write on a TCP_NODELAY socket, so no response
+waits on Nagle's algorithm for the client's delayed ACK.  Each client
+connection forwards its Permits on one kept-alive upstream connection.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
 import threading
 import time
 from dataclasses import dataclass
@@ -18,8 +24,6 @@ from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
-
-import requests as _requests
 
 from .bundle import (
     ADMIN_PATHS,
@@ -54,6 +58,22 @@ METHOD_ACTIONS = {
 }
 FALLBACK_ACTION = "execute"
 
+# Methods a client may repeat without a changed effect (RFC 9110 §9.2.2): only
+# these are sent again when a kept-alive upstream connection turns out dead.
+IDEMPOTENT_METHODS = frozenset({"GET", "HEAD", "PUT", "DELETE", "OPTIONS"})
+
+# Request headers never forwarded upstream: the hop-by-hop ones (RFC 9110
+# §7.6.1), the two the upstream connection sets itself, the caller's decision
+# inputs, and Accept-Encoding, so that the upstream answers in the identity
+# encoding that the relay passes on as is.
+NOT_FORWARDED = frozenset({
+    "connection", "keep-alive", "proxy-connection", "te", "trailer",
+    "transfer-encoding", "upgrade",
+    "host", "content-length",
+    "x-subject", "x-attribute", "x-context",
+    "accept-encoding",
+})
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -80,6 +100,13 @@ def load_gateway_config(path: str | Path) -> GatewayConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: bad listen address {listen!r}") from exc
     upstream = values.get("upstream", "http://127.0.0.1:9000").rstrip("/")
+    parts = urlsplit(upstream)
+    try:
+        parts.port  # a port that is not a number raises here
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad upstream port in {upstream!r}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"{path}: upstream must be an http:// or https:// URL, got {upstream!r}")
     audit = (bundle.root / values["audit_log"]) if "audit_log" in values else None
     return GatewayConfig(
         bundle=bundle, listen_host=host, listen_port=port, upstream=upstream, audit_log=audit
@@ -123,6 +150,71 @@ def _parse_context_header(raw: str) -> tuple[str, object]:
             raise ValueError(f"unknown context header field {tkey.strip()!r}")
         kind = tvalue.strip()
     return key, parse_scalar(kind, value)
+
+
+class BodyError(ValueError):
+    """A request body whose extent the gateway does not know.  It is answered
+    with ``status``, and the connection closes after the answer."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _status(exc: Exception) -> int:
+    return exc.status if isinstance(exc, BodyError) else 400
+
+
+def _dot_segment(object_id: str) -> str | None:
+    """The first ``.`` or ``..`` segment of ``object_id``, raw or with its
+    dots percent-encoded; an upstream would resolve such a path to another
+    object than the one decided."""
+    for segment in object_id.split("/"):
+        if segment.lower().replace("%2e", ".") in (".", ".."):
+            return segment
+    return None
+
+
+def _forward_headers(headers: http.client.HTTPMessage) -> http.client.HTTPMessage:
+    """The caller's headers less NOT_FORWARDED and every header that
+    Connection names; repeated headers stay repeated."""
+    named = {
+        token.strip().lower()
+        for value in headers.get_all("Connection") or []
+        for token in value.split(",")
+    }
+    forwarded = http.client.HTTPMessage()
+    for name, value in headers.items():
+        if name.lower() not in NOT_FORWARDED and name.lower() not in named:
+            forwarded[name] = value
+    return forwarded
+
+
+def _open_upstream(upstream: str) -> http.client.HTTPConnection:
+    parts = urlsplit(upstream)
+    kind = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    return kind(parts.hostname, parts.port, timeout=10)
+
+
+def _readable(conn: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection's socket has something to read: the
+    upstream closed it, or sent bytes nobody asked for."""
+    poller = select.poll()
+    poller.register(conn.sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _exchange(conn, method, target, body, headers) -> tuple[int, str, bytes]:
+    """Status, content type and body of one upstream exchange.  On any
+    failure the connection is closed, so the next request opens a fresh one."""
+    try:
+        conn.request(method, target, body=body, headers=headers)
+        response = conn.getresponse()
+        content = response.read()
+    except BaseException:
+        conn.close()
+        raise
+    return response.status, response.getheader("Content-Type", "application/octet-stream"), content
 
 
 class Gateway:
@@ -233,8 +325,27 @@ class GatewayServer(ThreadingHTTPServer):
 
 
 class GatewayHandler(BaseHTTPRequestHandler):
+    """One instance per client connection, which owns that connection's
+    upstream connection."""
+
     protocol_version = "HTTP/1.1"
     server: GatewayServer
+    # Headers and body collect in the write buffer and leave in one send when
+    # _send flushes; with TCP_NODELAY none of them waits for an ACK.
+    disable_nagle_algorithm = True
+    wbufsize = -1
+    _upstream: http.client.HTTPConnection | None = None
+
+    def finish(self) -> None:
+        if self._upstream is not None:
+            self._upstream.close()
+        super().finish()
+
+    def handle_expect_100(self) -> bool:
+        # the interim response would otherwise wait in the write buffer
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # decisions go to the audit log, not stderr
@@ -264,13 +375,16 @@ class GatewayHandler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
 
     def _body(self) -> bytes:
-        """The request body.  A Content-Length that is not a non-negative
-        integer raises ValueError; the body's extent is then unknown, so the
-        connection is closed after the response."""
+        """The request body, framed by Content-Length.  A Transfer-Encoding
+        (411) or a Content-Length that is not a non-negative integer (400)
+        raises BodyError."""
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise BodyError(411, "Transfer-Encoding is not accepted: send a Content-Length")
         raw = self.headers.get("Content-Length") or "0"
         if not (raw.isascii() and raw.isdigit()):
             self.close_connection = True
-            raise ValueError(f"bad Content-Length {raw!r}")
+            raise BodyError(400, f"bad Content-Length {raw!r}")
         length = int(raw)
         return self.rfile.read(length) if length else b""
 
@@ -291,6 +405,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if self.command != "HEAD":
             self.wfile.write(body)
+        self.wfile.flush()
 
     def _route(self, method: str) -> None:
         parts = urlsplit(self.path)
@@ -313,8 +428,8 @@ class GatewayHandler(BaseHTTPRequestHandler):
         where this one ends."""
         try:
             body = self._body()
-        except ValueError as exc:
-            self._send(400, f"{exc}\n".encode())
+        except BodyError as exc:
+            self._send(exc.status, f"{exc}\n".encode())
             return
         if path == "/healthz" and method in ("GET", "HEAD"):
             self._send(200, b"ok\n")
@@ -353,7 +468,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
             wire = parse_xacml_request(self._body())
         except (SacError, ValueError) as exc:
             self._audit(started, None, None, None, None)
-            self._send(400, f"{exc}\n".encode())
+            self._send(_status(exc), f"{exc}\n".encode())
             return
         ids = (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id)
         try:
@@ -379,8 +494,11 @@ class GatewayHandler(BaseHTTPRequestHandler):
         action_id = METHOD_ACTIONS.get(method, FALLBACK_ACTION)
 
         problems: list[str] = []
+        status = 400
         if not object_id:
             problems.append("no object named after /proxy/")
+        elif (segment := _dot_segment(object_id)) is not None:
+            problems.append(f"dot segment {segment!r} in object {object_id!r}")
         if not purpose:
             problems.append("no purpose: pass ?purpose=... or an X-Purpose header")
         attrs = []
@@ -394,9 +512,10 @@ class GatewayHandler(BaseHTTPRequestHandler):
                 environment[key] = value
         except (SacError, ValueError) as exc:
             problems.append(str(exc))
+            status = _status(exc)
         if problems:
             self._audit(started, subject_id, object_id or None, action_id, purpose or None)
-            self._send(400, ("\n".join(problems) + "\n").encode())
+            self._send(status, ("\n".join(problems) + "\n").encode())
             return
 
         wire = XacmlRequestDoc(
@@ -423,35 +542,40 @@ class GatewayHandler(BaseHTTPRequestHandler):
             )
             return
 
-        upstream_url = f"{gateway.config.upstream}/{object_id}"
-        forward_headers = {
-            k: v
-            for k, v in self.headers.items()
-            if k.lower() not in ("host", "connection", "content-length")
-        }
+        # the target is the decided object id as received, never re-normalised
+        target = f"{urlsplit(gateway.config.upstream).path}/{object_id}"
+        if parts.query:
+            target += f"?{parts.query}"
         try:
-            upstream = _requests.request(
-                method,
-                upstream_url,
-                params=parts.query or None,
-                data=body or None,
-                headers=forward_headers,
-                timeout=10,
+            status, content_type, content = self._forward(
+                method, target, body or None, _forward_headers(self.headers)
             )
-        except _requests.RequestException as exc:
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            # ValueError: http.client refuses a target or header it cannot send
             self._send(
                 502,
                 f"upstream unreachable: {exc}\n".encode(),
                 extra={"X-Decision": "Permit"},
             )
             return
-        content_type = upstream.headers.get("Content-Type", "application/octet-stream")
-        self._send(
-            upstream.status_code,
-            upstream.content,
-            content_type,
-            {"X-Decision": "Permit"},
-        )
+        self._send(status, content, content_type, {"X-Decision": "Permit"})
+
+    def _forward(self, method, target, body, headers) -> tuple[int, str, bytes]:
+        """One exchange on this client connection's upstream connection,
+        opened on first use and kept alive.  A reused connection that fails
+        is closed, and an idempotent request is sent once more on a fresh one."""
+        conn = self._upstream
+        if conn is None:
+            conn = self._upstream = _open_upstream(self.server.gateway.config.upstream)
+        elif conn.sock is not None and _readable(conn):
+            conn.close()  # the next request opens a fresh connection
+        reused = conn.sock is not None
+        try:
+            return _exchange(conn, method, target, body, headers)
+        except (ConnectionError, http.client.HTTPException):
+            if not reused or method not in IDEMPOTENT_METHODS:
+                raise
+        return _exchange(conn, method, target, body, headers)
 
     # -- audit records -------------------------------------------------------
 

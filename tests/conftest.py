@@ -40,31 +40,56 @@ def canned_requests(ehealth_bundle, ehealth):
 
 
 class StubUpstream:
-    """Counts hits and answers 200 with a recognizable JSON body."""
+    """Counts hits and accepted and closed connections and answers 200 with a
+    recognizable JSON body.  With ``close``, every answer says
+    ``Connection: close``; with ``hang_up``, the connection is closed after
+    each answer without saying so; with ``drop_reused``, a request that
+    arrives on a connection already used is counted and then dropped
+    unanswered."""
 
-    def __init__(self):
+    def __init__(self, close: bool = False, hang_up: bool = False, drop_reused: bool = False):
         self.hits = []
+        self.connections = 0
+        self.closed = 0
         self.lock = threading.Lock()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            served = 0
 
             def log_message(self, format, *args):  # noqa: A002
                 pass
+
+            def setup(self):
+                super().setup()
+                with stub.lock:
+                    stub.connections += 1
+
+            def finish(self):
+                super().finish()
+                with stub.lock:
+                    stub.closed += 1
 
             def _answer(self):
                 length = int(self.headers.get("Content-Length") or 0)
                 body_in = self.rfile.read(length) if length else b""
                 with stub.lock:
-                    stub.hits.append((self.command, self.path, body_in))
+                    stub.hits.append((self.command, self.path, body_in, self.headers))
+                self.served += 1
+                if drop_reused and self.served > 1:
+                    self.close_connection = True
+                    return
                 body = json.dumps({"upstream": True, "path": self.path}).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                if close:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 if self.command != "HEAD":
                     self.wfile.write(body)
+                self.close_connection = self.close_connection or hang_up
 
             do_GET = do_HEAD = do_POST = do_PUT = do_PATCH = do_DELETE = _answer
 
@@ -90,13 +115,6 @@ class StubUpstream:
         self.thread.join(timeout=5)
 
 
-@pytest.fixture
-def stub_upstream():
-    stub = StubUpstream()
-    yield stub
-    stub.stop()
-
-
 def write_gateway_conf(tmp_path: Path, upstream_port: int, bundle_dir: Path = EHEALTH) -> Path:
     conf = tmp_path / "gateway.conf"
     lines = [
@@ -117,9 +135,23 @@ def write_gateway_conf(tmp_path: Path, upstream_port: int, bundle_dir: Path = EH
 
 
 @pytest.fixture
-def gateway(tmp_path, stub_upstream):
-    conf = write_gateway_conf(tmp_path, stub_upstream.port)
-    gw = Gateway(load_gateway_config(conf))
-    port = gw.start()
-    yield gw, f"http://127.0.0.1:{port}", stub_upstream, tmp_path / "audit.jsonl"
-    gw.stop()
+def gateway_for(tmp_path):
+    """Starts a gateway in front of a StubUpstream built with the given
+    options; returns (gateway, base URL, stub, audit log path)."""
+    started = []
+
+    def start(**stub_options):
+        stub = StubUpstream(**stub_options)
+        gw = Gateway(load_gateway_config(write_gateway_conf(tmp_path, stub.port)))
+        started.append((gw, stub))
+        return gw, f"http://127.0.0.1:{gw.start()}", stub, tmp_path / "audit.jsonl"
+
+    yield start
+    for gw, stub in started:
+        gw.stop()
+        stub.stop()
+
+
+@pytest.fixture
+def gateway(gateway_for):
+    return gateway_for()

@@ -3,11 +3,14 @@
 import json
 import re
 import socket
+import statistics
+import time
 
 import pytest
 import requests
 
 from conftest import EHEALTH, GOLDEN, write_gateway_conf
+from sacpdp.errors import ConfigError
 from sacpdp.ontology import load_ontology, serialize_ontology
 from sacpdp.service import Gateway, _parse_context_header, load_gateway_config
 from sacpdp.xmlio import parse_xacml_response
@@ -32,6 +35,44 @@ def raw_exchange(port, request: bytes) -> bytes:
 def statuses(reply: bytes) -> list[int]:
     """The status code of every response in a raw keep-alive exchange."""
     return [int(code) for code in re.findall(rb"^HTTP/1\.1 (\d{3}) ", reply, re.M)]
+
+
+class KeepAlive:
+    """One keep-alive TCP_NODELAY connection to the gateway that sends each
+    request in one write and reads responses framed by Content-Length."""
+
+    def __init__(self, port, timeout=5):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.reader.close()
+        self.sock.close()
+
+    def exchange(self, request: bytes) -> tuple[int, dict, bytes]:
+        self.sock.sendall(request)
+        status = int(self.reader.readline().split()[1])
+        headers = {}
+        while (line := self.reader.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        return status, headers, self.reader.read(int(headers.get("content-length", 0)))
+
+
+DECIDE_BODY = (EHEALTH / "requests" / "01_doctor_reads_record.xml").read_bytes()
+DECIDE_HEAD = f"POST /pdp/decide HTTP/1.1\r\nHost: gw\r\nContent-Length: {len(DECIDE_BODY)}\r\n"
+
+
+def permit_request(method="GET", target="records/jen?purpose=treat", extra="") -> bytes:
+    """A proxy request that joan is permitted."""
+    return (
+        f"{method} /proxy/{target} HTTP/1.1\r\nHost: gw\r\nX-Subject: joan\r\n"
+        f"X-Context: years_of_service=5; type=int\r\nContent-Length: 0\r\n{extra}\r\n"
+    ).encode()
 
 
 def proxy_get(base, path, subject=None, purpose=None, headers=None, method="GET", **kw):
@@ -82,6 +123,50 @@ class TestPlumbing:
         reply = raw_exchange(gw.bound_port, request)
         assert statuses(reply) == [status, 200]
         assert reply.endswith(b'{"version": 1}\n')
+
+    def test_no_delayed_ack_stall(self, gateway):
+        # Nagle's algorithm holds a second send until the client's delayed
+        # ACK, 40 ms or more; a response written in one send never waits
+        gw, _, _, _ = gateway
+        round_trips = []
+        with KeepAlive(gw.bound_port) as client:
+            for _ in range(20):
+                started = time.perf_counter()
+                status, _, _ = client.exchange(DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY)
+                round_trips.append(time.perf_counter() - started)
+                assert status == 200
+        assert statistics.median(round_trips) < 0.020
+
+    def test_expect_100_continue_answered_before_body(self, gateway):
+        gw, _, _, _ = gateway
+        with KeepAlive(gw.bound_port, timeout=2) as client:
+            assert client.exchange(f"{DECIDE_HEAD}Expect: 100-continue\r\n\r\n".encode())[0] == 100
+            status, headers, _ = client.exchange(DECIDE_BODY)
+        assert (status, headers["x-decision"]) == (200, "Permit")
+
+    @pytest.mark.parametrize(
+        "target, audited",
+        [
+            ("POST /proxy/records/jen?purpose=treat", 1),
+            ("POST /pdp/decide", 1),
+            ("GET /healthz", 0),
+            ("PUT /admin/policy", 0),
+        ],
+    )
+    def test_transfer_encoding_411_closes(self, gateway, target, audited):
+        # a chunked body is refused, and its chunks never become a request
+        gw, base, stub, audit_path = gateway
+        request = (
+            f"{target} HTTP/1.1\r\nHost: gw\r\nX-Subject: joan\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+            "GET /admin/version HTTP/1.1\r\nHost: gw\r\n\r\n"
+        )
+        reply = raw_exchange(gw.bound_port, request.encode())
+        assert statuses(reply) == [411]
+        assert "Connection: close" in reply.partition(b"\r\n\r\n")[0].decode().split("\r\n")
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"] * audited
+        assert stub.hit_count == 0
+        assert requests.get(f"{base}/admin/version", timeout=10).json() == {"version": 1}
 
 
 class TestProxyDecisions:
@@ -192,7 +277,93 @@ class TestProxyDecisions:
         assert stub.hits[0][2] == b"payload-bytes"
 
 
+class TestUpstreamConnection:
+    def test_one_upstream_connection_per_client_connection(self, gateway):
+        gw, _, stub, _ = gateway
+        with KeepAlive(gw.bound_port) as client:
+            for _ in range(5):
+                assert client.exchange(permit_request())[0] == 200
+        assert (stub.hit_count, stub.connections) == (5, 1)
+
+    def test_upstream_that_closes_gets_one_hit_per_permit(self, gateway_for):
+        gw, _, stub, _ = gateway_for(close=True)
+        with KeepAlive(gw.bound_port) as client:
+            for _ in range(5):
+                assert client.exchange(permit_request())[0] == 200
+        assert (stub.hit_count, stub.connections) == (5, 5)
+
+    def test_connection_closed_by_upstream_is_replaced(self, gateway_for):
+        # a POST is never retried, so it must not be sent on a connection
+        # the upstream has already closed
+        gw, _, stub, _ = gateway_for(hang_up=True)
+        with KeepAlive(gw.bound_port) as client:
+            assert client.exchange(permit_request("POST"))[0] == 200
+            deadline = time.monotonic() + 5
+            while stub.closed < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.exchange(permit_request("POST"))[0] == 200
+        assert (stub.hit_count, stub.connections) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "method, answers, hits, connections",
+        [("GET", [200, 200], 3, 2), ("POST", [200, 502], 2, 1)],
+    )
+    def test_dropped_connection_retried_only_when_idempotent(
+        self, gateway_for, method, answers, hits, connections
+    ):
+        # the stub reads the second request on a connection, then drops it
+        gw, _, stub, _ = gateway_for(drop_reused=True)
+        with KeepAlive(gw.bound_port) as client:
+            got = [client.exchange(permit_request(method))[0] for _ in answers]
+        assert got == answers
+        assert [hit[0] for hit in stub.hits] == [method] * hits
+        assert stub.connections == connections
+
+    def test_forwards_exactly_what_was_decided(self, gateway):
+        gw, _, stub, _ = gateway
+        request = (
+            "GET /proxy/any/j%65n/%2e%2ex?purpose=general&q=a%2Fb HTTP/1.1\r\nHost: gw\r\n"
+            "X-Subject: visitor\r\nX-Attribute: doctor; soa=hospital_ADMIN; e=enabled\r\n"
+            "X-Context: consent=given\r\nConnection: keep-alive, X-Hop\r\nX-Hop: 1\r\n"
+            "Keep-Alive: timeout=5\r\nTE: trailers\r\nTrailer: X-Sum\r\nUpgrade: h2c\r\n"
+            "Proxy-Connection: keep-alive\r\nAccept-Encoding: gzip\r\n"
+            "X-Kept: one\r\nX-Kept: two\r\n\r\n"
+        )
+        with KeepAlive(gw.bound_port) as client:
+            assert client.exchange(request.encode())[0] == 200
+        (_, path, _, headers), = stub.hits
+        assert path == "/any/j%65n/%2e%2ex?purpose=general&q=a%2Fb"
+        dropped = ["X-Subject", "X-Attribute", "X-Context", "Connection", "X-Hop", "Keep-Alive",
+                   "TE", "Trailer", "Upgrade", "Proxy-Connection", "Transfer-Encoding"]
+        assert [name for name in dropped if name in headers] == []
+        assert headers.get_all("X-Kept") == ["one", "two"]
+        assert headers["Accept-Encoding"] == "identity"
+        assert headers["Host"] == f"127.0.0.1:{stub.port}"
+
+    @pytest.mark.parametrize(
+        "upstream", ["ftp://127.0.0.1:9000", "127.0.0.1:9000", "http://", "http://127.0.0.1:port"]
+    )
+    def test_upstream_must_be_http_url(self, tmp_path, upstream):
+        conf = write_gateway_conf(tmp_path, upstream_port=9)
+        text = conf.read_text().replace("upstream = http://127.0.0.1:9", f"upstream = {upstream}")
+        conf.write_text(text)
+        with pytest.raises(ConfigError, match="upstream"):
+            load_gateway_config(conf)
+
+
 class TestProxyErrors:
+    @pytest.mark.parametrize(
+        "object_id", ["x/../records/jen", "records/./jen", "x/%2E%2e/records/jen", "records/jen/%2e"]
+    )
+    def test_dot_segment_400(self, gateway, object_id):
+        gw, _, stub, audit_path = gateway
+        request = permit_request(target=f"{object_id}?purpose=treat", extra="Connection: close\r\n")
+        reply = raw_exchange(gw.bound_port, request)
+        assert statuses(reply) == [400]
+        assert b"dot segment" in reply
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
+        assert stub.hit_count == 0
+
     def test_missing_purpose_400(self, gateway):
         _, base, _, audit_path = gateway
         r = proxy_get(base, "records/jen", subject="joan")
