@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from xml.parsers import expat
-from xml.sax.saxutils import escape
 
 from .errors import MalformedXmlError, UnknownElementError
 
-_ATTR_ESCAPES = {'"': "&quot;", "\n": "&#10;", "\t": "&#9;", "\r": "&#13;"}
+# "&" comes first, so no entity written here is escaped again
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+_ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;", "\n": "&#10;", "\t": "&#9;", "\r": "&#13;"}
 
 XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>'
 
@@ -138,10 +139,16 @@ def render_xml(node: XmlNode) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _escape(text: str, escapes: dict[str, str]) -> str:
+    for char, entity in escapes.items():
+        text = text.replace(char, entity)
+    return text
+
+
 def _render_into(node: XmlNode, lines: list[str], depth: int) -> None:
     pad = "  " * depth
     attrs = "".join(
-        f' {name}="{escape(value, _ATTR_ESCAPES)}"'
+        f' {name}="{_escape(value, _ATTR_ESCAPES)}"'
         for name, value in sorted(node.attrib.items())
     )
     if node.children:
@@ -150,7 +157,7 @@ def _render_into(node: XmlNode, lines: list[str], depth: int) -> None:
             _render_into(child, lines, depth + 1)
         lines.append(f"{pad}</{node.tag}>")
     elif node.text:
-        lines.append(f"{pad}<{node.tag}{attrs}>{escape(node.text)}</{node.tag}>")
+        lines.append(f"{pad}<{node.tag}{attrs}>{_escape(node.text, _TEXT_ESCAPES)}</{node.tag}>")
     else:
         lines.append(f"{pad}<{node.tag}{attrs}/>")
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -45,9 +46,22 @@ class StubUpstream:
     ``Connection: close``; with ``hang_up``, the connection is closed after
     each answer without saying so; with ``drop_reused``, a request that
     arrives on a connection already used is counted and then dropped
-    unanswered."""
+    unanswered.  ``status``, ``content_type`` (None for none) and the
+    ``(name, value)`` pairs in ``headers`` shape the answer; ``delay`` seconds
+    pass before it; ``raw`` bytes replace it, and the connection closes
+    after them."""
 
-    def __init__(self, close: bool = False, hang_up: bool = False, drop_reused: bool = False):
+    def __init__(
+        self,
+        close: bool = False,
+        hang_up: bool = False,
+        drop_reused: bool = False,
+        status: int = 200,
+        content_type: str | None = "application/json",
+        headers: tuple = (),
+        delay: float = 0,
+        raw: bytes | None = None,
+    ):
         self.hits = []
         self.connections = 0
         self.closed = 0
@@ -77,13 +91,18 @@ class StubUpstream:
                 with stub.lock:
                     stub.hits.append((self.command, self.path, body_in, self.headers))
                 self.served += 1
-                if drop_reused and self.served > 1:
+                time.sleep(delay)
+                if drop_reused and self.served > 1 or raw is not None:
+                    self.wfile.write(raw or b"")
                     self.close_connection = True
                     return
                 body = json.dumps({"upstream": True, "path": self.path}).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
+                self.send_response(status)
+                if content_type is not None:
+                    self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in headers:
+                    self.send_header(name, value)
                 if close:
                     self.send_header("Connection", "close")
                 self.end_headers()

@@ -4,6 +4,7 @@ import json
 import re
 import socket
 import statistics
+import threading
 import time
 
 import pytest
@@ -12,6 +13,7 @@ import requests
 from conftest import EHEALTH, GOLDEN, write_gateway_conf
 from sacpdp.errors import ConfigError
 from sacpdp.ontology import load_ontology, serialize_ontology
+from sacpdp import service
 from sacpdp.service import Gateway, _parse_context_header, load_gateway_config
 from sacpdp.xmlio import parse_xacml_response
 
@@ -30,6 +32,13 @@ def raw_exchange(port, request: bytes) -> bytes:
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def split_response(reply: bytes) -> tuple[str, list[tuple[str, str]], bytes]:
+    """Status line, header fields in order, and the rest of one response."""
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    return status_line, [tuple(v.strip() for v in line.split(":", 1)) for line in lines], rest
 
 
 def statuses(reply: bytes) -> list[int]:
@@ -680,3 +689,264 @@ class TestAuditLog:
         record = read_audit(audit_path)[-1]
         assert record["subject"] == "joan"
         assert record["decision"] == "Permit"
+
+
+class TestRequestHead:
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
+            (b"GET /healthz\r\nHost: gw\r\n\r\n", 400),
+            (b"GET  /healthz HTTP/1.1\r\nHost: gw\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1\r\nHost: gw\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\nHost: gw\r\n\r\n", 505),
+            (b"GET /healthz HTTP/3\r\nHost: gw\r\n\r\n", 505),
+            (b"GET /healthz HTTP/1.1\r\nHost gw\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nHost: gw\r\nX-A: 1\r\n folded\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-Bad : 1\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nX-Bad: a\x00b\r\n\r\n", 400),
+        ],
+        ids=["head-64k", "101-lines", "no-version", "two-spaces", "HTTP/1", "HTTP/2.0",
+             "HTTP/3", "no-colon", "folded", "space-before-colon", "nul"],
+    )
+    def test_bad_head_answered_and_closed(self, gateway, request_bytes, status):
+        gw, base, _, audit_path = gateway
+        status_line, fields, _ = split_response(raw_exchange(gw.bound_port, request_bytes))
+        assert int(status_line.split()[1]) == status
+        assert ("Connection", "close") in fields
+        assert read_audit(audit_path) == []  # refused before any endpoint saw it
+        assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
+
+    @pytest.mark.parametrize(
+        "target, audited", [("POST /pdp/decide", 1), ("PUT /admin/policy", 0)]
+    )
+    def test_conflicting_content_lengths_400(self, gateway, target, audited):
+        gw, _, _, audit_path = gateway
+        request = f"{target} HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd"
+        status_line, fields, body = split_response(raw_exchange(gw.bound_port, request.encode()))
+        assert status_line == "HTTP/1.1 400 Bad Request"
+        assert ("Connection", "close") in fields
+        assert b"conflicting Content-Length" in body
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"] * audited
+
+    def test_truncated_body_400(self, gateway):
+        gw, _, _, audit_path = gateway
+        with socket.create_connection(("127.0.0.1", gw.bound_port), timeout=5) as sock:
+            sock.sendall(DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY[:10])
+            sock.shutdown(socket.SHUT_WR)
+            reply = sock.makefile("rb").read()
+        assert statuses(reply) == [400]
+        assert b"body ends after 10 of" in reply
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
+
+    def test_pipelined_requests_answered_in_order(self, gateway):
+        gw, _, _, _ = gateway
+        deny = (EHEALTH / "requests" / "02_too_few_years.xml").read_bytes()
+        request = (
+            DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY
+            + f"POST /pdp/decide HTTP/1.1\r\nContent-Length: {len(deny)}\r\n"
+              "Connection: close\r\n\r\n".encode() + deny
+        )
+        reply = raw_exchange(gw.bound_port, request)
+        assert statuses(reply) == [200, 200]
+        assert re.findall(rb"X-Decision: (\w+)", reply) == [b"Permit", b"Deny"]
+
+    def test_http10_closes_unless_kept_alive(self, gateway):
+        gw, _, _, _ = gateway
+        reply = raw_exchange(gw.bound_port, b"GET /healthz HTTP/1.0\r\n\r\nGET /healthz HTTP/1.0\r\n\r\n")
+        assert statuses(reply) == [200]
+        assert ("Connection", "close") in split_response(reply)[1]
+        kept = raw_exchange(
+            gw.bound_port,
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\nGET /healthz HTTP/1.0\r\n\r\n",
+        )
+        assert statuses(kept) == [200, 200]
+
+    def test_unsupported_method_501(self, gateway):
+        gw, _, _, audit_path = gateway
+        reply = raw_exchange(gw.bound_port, b"TRACE /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert statuses(reply) == [501]
+        assert read_audit(audit_path) == []
+
+
+class TestRelay:
+    def test_end_to_end_headers_relayed(self, gateway_for):
+        upstream_headers = (
+            ("Location", "/records/jen/2"), ("ETag", '"v7"'), ("Cache-Control", "no-store"),
+            ("Set-Cookie", "a=1"), ("Set-Cookie", "b=2"), ("Connection", "X-Hop"),
+            ("X-Hop", "1"), ("Keep-Alive", "timeout=5"), ("X-Decision", "Deny"),
+        )
+        gw, _, stub, _ = gateway_for(status=201, content_type=None, headers=upstream_headers)
+        reply = raw_exchange(gw.bound_port, permit_request("PUT", extra="Connection: close\r\n"))
+        status_line, fields, body = split_response(reply)
+        assert status_line == "HTTP/1.1 201 Created"
+        names = [name.lower() for name, _ in fields]
+        for field in upstream_headers[:5]:
+            assert field in fields
+        assert [value for name, value in fields if name == "Set-Cookie"] == ["a=1", "b=2"]
+        assert [name for name in ("content-type", "x-hop", "keep-alive") if name in names] == []
+        assert [value for name, value in fields if name == "X-Decision"] == ["Permit"]
+        assert ("Content-Length", str(len(body))) in fields
+        assert json.loads(body)["upstream"] is True
+        assert stub.hit_count == 1
+
+    @pytest.mark.parametrize(
+        "method, raw, relayed",
+        [
+            (
+                "GET",
+                b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"5;ext=1\r\nhello\r\n7\r\n, world\r\n0\r\nX-Sum: 1\r\n\r\n",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\nConnection: close\r\n"
+                b"Content-Type: text/plain\r\nX-Decision: Permit\r\n\r\nhello, world",
+            ),
+            (
+                "GET",
+                b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nuntil the\r\n\r\nend",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 16\r\nConnection: close\r\n"
+                b"Content-Type: text/plain\r\nX-Decision: Permit\r\n\r\nuntil the\r\n\r\nend",
+            ),
+            (
+                "HEAD",
+                b'HTTP/1.1 204 No Content\r\nETag: "e"\r\n\r\n',
+                b'HTTP/1.1 204 No Content\r\nConnection: close\r\nETag: "e"\r\n'
+                b"X-Decision: Permit\r\n\r\n",
+            ),
+            (
+                "GET",
+                b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n"
+                b"X-Decision: Permit\r\n\r\nok",
+            ),
+        ],
+        ids=["chunked", "close-delimited", "head-204", "interim-100"],
+    )
+    def test_upstream_framing_relayed_byte_exact(self, gateway_for, method, raw, relayed):
+        gw, _, stub, _ = gateway_for(raw=raw)
+        reply = raw_exchange(gw.bound_port, permit_request(method, extra="Connection: close\r\n"))
+        assert reply == relayed
+        assert stub.hit_count == 1
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhelloXX0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+            b"SPDY/3 200 OK\r\n\r\n",
+        ],
+        ids=["chunk-size", "chunk-end", "two-lengths", "short-body", "status-line"],
+    )
+    def test_malformed_upstream_answer_502(self, gateway_for, raw):
+        gw, _, _, audit_path = gateway_for(raw=raw)
+        reply = raw_exchange(gw.bound_port, permit_request("POST", extra="Connection: close\r\n"))
+        assert statuses(reply) == [502]
+        assert b"upstream unreachable" in reply
+        assert [record["decision"] for record in read_audit(audit_path)] == ["Permit"]
+
+    def test_upstream_timeout_502_then_fresh_connection(self, gateway_for, monkeypatch):
+        monkeypatch.setattr(service, "UPSTREAM_TIMEOUT", 0.2)
+        gw, _, stub, _ = gateway_for(delay=0.6)
+        with KeepAlive(gw.bound_port) as client:
+            status, _, body = client.exchange(permit_request())
+            assert (status, body) == (502, b"upstream unreachable: no answer within 0.2 s\n")
+            monkeypatch.setattr(service, "UPSTREAM_TIMEOUT", 5)
+            assert client.exchange(permit_request())[0] == 200
+        assert stub.connections == 2
+
+
+class TestOneLoop:
+    def test_stalled_head_does_not_delay_others(self, gateway):
+        gw, _, _, _ = gateway
+        with socket.create_connection(("127.0.0.1", gw.bound_port), timeout=5) as stalled:
+            stalled.sendall(b"POST /pdp/decide HTTP/1.1\r\nHost: gw\r\nContent-Le")
+            with KeepAlive(gw.bound_port, timeout=2) as client:
+                started = time.perf_counter()
+                status, headers, _ = client.exchange(DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY)
+                assert (status, headers["x-decision"]) == (200, "Permit")
+                assert time.perf_counter() - started < 1.0
+
+    def test_upstream_in_flight_does_not_delay_decide(self, gateway_for):
+        gw, _, stub, _ = gateway_for(delay=1.0)
+        with KeepAlive(gw.bound_port) as proxied, KeepAlive(gw.bound_port, timeout=2) as client:
+            proxied.sock.sendall(permit_request())
+            deadline = time.monotonic() + 5
+            while stub.hit_count < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            started = time.perf_counter()
+            assert client.exchange(DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY)[0] == 200
+            assert time.perf_counter() - started < 0.5
+            assert proxied.exchange(b"")[0] == 200
+
+    def test_decides_answered_during_admin_swap(self, gateway, monkeypatch):
+        gw, _, _, _ = gateway
+        load = gw.admin_load
+        swapping = threading.Event()
+
+        def slow_load(slot, text):
+            swapping.set()
+            time.sleep(0.5)  # a large store's rebuild
+            return load(slot, text)
+
+        monkeypatch.setattr(gw, "admin_load", slow_load)
+        policy = (EHEALTH / "ehealth_policy.xml").read_bytes()
+        with KeepAlive(gw.bound_port) as admin, KeepAlive(gw.bound_port, timeout=2) as client:
+            admin.sock.sendall(
+                f"PUT /admin/policy HTTP/1.1\r\nContent-Length: {len(policy)}\r\n\r\n".encode() + policy
+            )
+            assert swapping.wait(timeout=5)
+            round_trips = []
+            while len(round_trips) < 10:
+                started = time.perf_counter()
+                status, headers, _ = client.exchange(DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY)
+                round_trips.append(time.perf_counter() - started)
+                assert (status, headers["x-decision"]) == (200, "Permit")
+            assert sum(round_trips) < 0.4  # all answered while the swap still ran
+            status, _, body = admin.exchange(b"")
+        assert (status, json.loads(body)) == (200, {"version": 2})
+
+
+class TestExits:
+    @pytest.mark.parametrize(
+        "broken, request_bytes, audited",
+        [
+            ("decide", DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY, ["error"]),
+            ("decide", permit_request(), ["error"]),
+            ("response_doc_for", DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY, ["Permit"]),
+        ],
+        ids=["decide", "proxy", "after-audit"],
+    )
+    def test_unexpected_error_500_audited_once(self, gateway, monkeypatch, broken, request_bytes, audited):
+        # a fault after the decision was audited adds no second record
+        gw, base, stub, audit_path = gateway
+
+        def fault(*args):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(service, broken, fault)
+        status_line, fields, body = split_response(raw_exchange(gw.bound_port, request_bytes))
+        assert status_line == "HTTP/1.1 500 Internal Server Error"
+        assert ("Connection", "close") in fields
+        assert body == b"internal error\n"
+        assert [record["decision"] for record in read_audit(audit_path)] == audited
+        assert stub.hit_count == 0
+        assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY,
+            permit_request(),
+        ],
+        ids=["decide", "proxy"],
+    )
+    def test_failed_audit_write_503_forwards_nothing(self, gateway, request_bytes):
+        gw, base, stub, _ = gateway
+        gw._audit_handle.close()
+        status_line, fields, _ = split_response(raw_exchange(gw.bound_port, request_bytes))
+        assert status_line == "HTTP/1.1 503 Service Unavailable"
+        assert ("Connection", "close") in fields
+        assert stub.hit_count == 0
+        assert requests.get(f"{base}/healthz", timeout=10).status_code == 200

@@ -21,6 +21,7 @@ from sacpdp.errors import (
 from sacpdp.ontology import load_ontology
 from sacpdp.policy import ANY_PURPOSE, Atom, Empty, Op
 from sacpdp.registry import parse_registry
+from sacpdp.xmlbase import elem, parse_xml, render_xml
 from sacpdp.xmlio import (
     XacmlRequestDoc,
     XacmlResponseDoc,
@@ -48,6 +49,21 @@ class TestFlagTable:
     )
     def test_everything_else_disables(self, raw):
         assert flag_enabled(raw) is False
+
+
+def test_markup_characters_escaped():
+    raw = '& < > " \n \t \r'
+    text = render_xml(elem("root", {"a": raw}, elem("leaf", text=raw), elem("empty", {"b": raw})))
+    attr = '"&amp; &lt; &gt; &quot; &#10; &#9; &#13;"'
+    assert text == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f"<root a={attr}>\n"
+        f'  <leaf>&amp; &lt; &gt; " \n \t \r</leaf>\n'
+        f"  <empty b={attr}/>\n"
+        "</root>\n"
+    )
+    tree = parse_xml(text)
+    assert (tree.get("a"), tree.find("empty").get("b")) == (raw, raw)
 
 
 class TestGoldenFixtures:
