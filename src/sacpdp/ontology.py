@@ -16,8 +16,8 @@ as subsumed by every concept it instantiates.
 Graphs are immutable once built.  All structural validation happens in
 :func:`build_graph` / :func:`load_ontology`; the query functions
 (:func:`subsumes`, :func:`inherited_rights_roles`,
-:func:`equivalent_attributes`) assume a validated graph and only ever raise
-for unknown or mis-tagged references.
+:func:`equivalent_attributes`, :func:`ancestor_sets`) assume a validated
+graph and only ever raise for unknown or mis-tagged references.
 """
 
 from __future__ import annotations
@@ -272,6 +272,29 @@ def subsumption_path(graph: OntologyGraph, ancestor: ConceptRef, descendant: Con
             seen.add(parent)
             queue.append(parent)
     return None
+
+
+def ancestor_sets(graph: OntologyGraph) -> dict[str, frozenset]:
+    """Every node's inclusive is-a ancestors: ``descendant`` is subsumed by
+    ``ancestor`` iff ``ancestor in ancestor_sets(graph)[descendant]``.
+
+    This is the encoding of a hierarchy by its ancestor sets (Ait-Kaci et
+    al., TOPLAS 1989); each set is built once, from its parents' sets.
+    """
+    waiting = {node: len(parents) for node, parents in graph._parents.items()}
+    children: dict[str, list] = {node: [] for node in graph.node_kinds}
+    for child, parent in graph.isa_edges:
+        children[parent].append(child)
+    ready = [node for node, count in waiting.items() if not count]
+    sets: dict[str, frozenset] = {}
+    while ready:  # a node is ready once all its parents have their sets
+        node = ready.pop()
+        sets[node] = frozenset((node,)).union(*(sets[p] for p in graph._parents[node]))
+        for child in children[node]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                ready.append(child)
+    return sets
 
 
 def inherited_rights_roles(graph: OntologyGraph, role: ConceptRef) -> set:

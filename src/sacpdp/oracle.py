@@ -5,7 +5,8 @@ different construction.  Where the engine walks graphs on demand, the oracle
 first materializes complete reachability matrices (Floyd-Warshall), the whole
 role-inheritance closure, the full attribute equivalence partition, and every
 purpose's ancestor set, then evaluates each rule by table lookup and combines
-by sorting an explicit outcome table.
+by sorting an explicit outcome table.  The tables are built once per store,
+on its first decision, and kept while the store lives.
 
 It shares only data types with the engine.  It does not call subsumes,
 inherited_rights_roles, equivalent_attributes, purpose_compliant or
@@ -15,6 +16,7 @@ a corrupted engine cannot drag the oracle along with it.
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping
 
 from .ontology import OntologyGraph, WILDCARD_ID
@@ -66,8 +68,10 @@ class _Tables:
             nodes = sorted(graph.node_kinds)
             self.kinds[kind] = set(nodes)
             self.isa[kind] = _reach_matrix(nodes, graph.isa_edges)
-        so = store.graphs["SO"]
-        self.rights_closure = _reach_matrix(sorted(so.node_kinds), so.role_inherit_edges)
+        so_nodes = sorted(store.graphs["SO"].node_kinds)
+        closure = _reach_matrix(so_nodes, store.graphs["SO"].role_inherit_edges)
+        # per SO node, in sorted order, every role whose rights it holds
+        self.rights = {a: [b for b in so_nodes if closure[(a, b)]] for a in so_nodes}
         self.equiv = _equiv_partition(store.graphs["AtO"])
         tree = store.purposes
         self.purpose_ancestors = {}
@@ -78,6 +82,23 @@ class _Tables:
                 node = tree.parent[node]
                 chain.add(node)
             self.purpose_ancestors[pid] = frozenset(chain)
+
+
+# id(store) -> (weak reference to the store, its tables).  A store is not
+# hashable, so it is keyed by identity; its entry goes when the store does,
+# before its id can be reused.
+_TABLES: dict[int, tuple] = {}
+
+
+def _tables_for(store: PolicyStore) -> _Tables:
+    """The store's tables, built on its first decision and kept while it lives."""
+    key = id(store)
+    entry = _TABLES.get(key)
+    if entry is not None and entry[0]() is store:
+        return entry[1]
+    tables = _Tables(store)
+    _TABLES[key] = (weakref.ref(store, lambda _ref: _TABLES.pop(key, None)), tables)
+    return tables
 
 
 def _clause_concepts(tables, kind, rule_ref, concepts, widen_roles):
@@ -97,7 +118,7 @@ def _clause_concepts(tables, kind, rule_ref, concepts, widen_roles):
             # raised on the rule's own reference; empty concept sets never get here
             return _ERROR
         if widen_roles:
-            candidates = [n for n in sorted(known) if tables.rights_closure[(ref.id, n)]]
+            candidates = tables.rights[ref.id]
         else:
             candidates = [ref.id]
         for node in candidates:
@@ -217,7 +238,7 @@ def _rule_outcome(tables, store, rule, req) -> DecisionValue:
 
 def oracle_decide(store: PolicyStore, req: AccessRequest) -> Decision:
     """Same observable contract as pdp.decide, computed the slow sure way."""
-    tables = _Tables(store)
+    tables = _tables_for(store)
     table = []
     for index, rule in enumerate(store.policy.rules):
         outcome = _rule_outcome(tables, store, rule, req)

@@ -419,10 +419,12 @@ class Gateway:
     # -- audit ---------------------------------------------------------------
 
     def audit(self, record: dict) -> None:
+        """Append one record as one JSON line, its keys in the record's own
+        order, and flush it."""
         if self._audit_handle is None:
             return
         with self._audit_lock:
-            self._audit_handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._audit_handle.write(json.dumps(record) + "\n")
             self._audit_handle.flush()
 
     # -- server lifecycle ----------------------------------------------------
@@ -732,19 +734,18 @@ class ClientConnection:
         """Write one audit record; without a decision, the request is recorded
         as an ``error`` (refused before it could be decided).  A write that
         fails raises AuditError."""
-        record = {
-            "ts": datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
-            "subject": subject,
-            "object": obj,
-            "action": action,
-            "purpose": purpose,
-            "decision": "error" if decision is None else decision.value.value,
-            "masked": decision is not None and decision.masked,
-            "matched_rule": None if decision is None or decision.masked else decision.matched_rule,
-            "latency_ms": round((time.monotonic() - started) * 1000, 3),
-        }
+        # keys in sorted order, so the line reads as json.dumps(sort_keys=True) wrote it
+        record = {"action": action}
         if conflicts:
             record["conflicts"] = list(conflicts)
+        record["decision"] = "error" if decision is None else decision.value.value
+        record["latency_ms"] = round((time.monotonic() - started) * 1000, 3)
+        record["masked"] = decision is not None and decision.masked
+        record["matched_rule"] = None if decision is None or decision.masked else decision.matched_rule
+        record["object"] = obj
+        record["purpose"] = purpose
+        record["subject"] = subject
+        record["ts"] = datetime.now(timezone.utc).isoformat(timespec="milliseconds")
         try:
             self.gateway.audit(record)
         except (OSError, ValueError) as exc:  # ValueError: the log file is closed

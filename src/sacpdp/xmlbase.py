@@ -6,6 +6,11 @@ and ElementTree keeps no source positions for post-parse schema errors.  Raw
 expat (namespace processing off) accepts the prefix verbatim and reports
 line/column during the start handler, which is all we need.
 
+:func:`parse_events` runs expat over a document with the caller's handlers;
+a handler reads its element's position from :func:`position`.  No handler
+holds the parser, which holds the handlers, so a parse leaves no reference
+cycle behind for the garbage collector.
+
 The writer emits one canonical form: XML declaration, two-space indentation,
 attributes sorted by name, text only on leaf elements, LF line endings.  Two
 documents that differ only in attribute order or insignificant whitespace
@@ -14,19 +19,16 @@ render to identical bytes.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from xml.parsers import expat
 
 from .errors import MalformedXmlError, UnknownElementError
 
-# "&" comes first, so no entity written here is escaped again
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;", "\n": "&#10;", "\t": "&#9;", "\r": "&#13;"}
-
 XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>'
 
 
-@dataclass
+@dataclass(slots=True)
 class XmlNode:
     """One element: tag, attributes, child elements, and leaf text."""
 
@@ -50,11 +52,21 @@ class XmlNode:
         return None
 
 
-def parse_xml(text: str | bytes) -> XmlNode:
-    """Parse a document into an XmlNode tree.
+_parsing = threading.local()  # .parser: the expat parser running on this thread
+
+
+def position() -> tuple[int, int]:
+    """Line and column of the element whose start handler is running."""
+    parser = _parsing.parser
+    return parser.CurrentLineNumber, parser.CurrentColumnNumber
+
+
+def parse_events(text: str | bytes, start, end=None, chars=None) -> None:
+    """Run expat over a document, calling ``start(tag, attrs)``,
+    ``end(tag)`` and ``chars(data)`` as its events arrive.
 
     Raises MalformedXmlError (with line/column) on any well-formedness
-    failure, including documents with no root element.
+    failure; an exception a handler raises propagates unchanged.
     """
     if isinstance(text, bytes):
         try:
@@ -63,18 +75,37 @@ def parse_xml(text: str | bytes) -> XmlNode:
             raise MalformedXmlError(f"not valid UTF-8: {exc}") from exc
 
     parser = expat.ParserCreate("UTF-8")
-    # buffer_text joins adjacent character-data events so leaf text arrives whole
-    parser.buffer_text = True
+    parser.StartElementHandler = start
+    if end is not None:
+        parser.EndElementHandler = end
+    if chars is not None:
+        # buffer_text joins adjacent character-data events so text arrives whole
+        parser.buffer_text = True
+        parser.CharacterDataHandler = chars
+    outer = getattr(_parsing, "parser", None)
+    _parsing.parser = parser
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise MalformedXmlError(
+            expat.errors.messages[exc.code], line=exc.lineno, column=exc.offset
+        ) from exc
+    finally:
+        _parsing.parser = outer
+
+
+def parse_xml(text: str | bytes) -> XmlNode:
+    """Parse a document into an XmlNode tree.
+
+    Raises MalformedXmlError (with line/column) on any well-formedness
+    failure, including documents with no root element.
+    """
     stack: list[XmlNode] = []
     root: list[XmlNode] = []
 
     def start(tag: str, attrs: dict[str, str]) -> None:
-        node = XmlNode(
-            tag=tag,
-            attrib=dict(attrs),
-            line=parser.CurrentLineNumber,
-            column=parser.CurrentColumnNumber,
-        )
+        line, column = position()
+        node = XmlNode(tag=tag, attrib=attrs, line=line, column=column)
         if stack:
             stack[-1].children.append(node)
         else:
@@ -88,15 +119,7 @@ def parse_xml(text: str | bytes) -> XmlNode:
         if stack:
             stack[-1].text += data
 
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = chars
-    try:
-        parser.Parse(text, True)
-    except expat.ExpatError as exc:
-        raise MalformedXmlError(
-            expat.errors.messages[exc.code], line=exc.lineno, column=exc.offset
-        ) from exc
+    parse_events(text, start, end, chars)
     if not root:
         raise MalformedXmlError("document has no root element")
     tree = root[0]
@@ -108,10 +131,15 @@ def parse_root(text: str | bytes, tag: str) -> XmlNode:
     """Parse a document whose root element must be ``<tag>``."""
     root = parse_xml(text)
     if root.tag != tag:
-        raise UnknownElementError(
-            f"expected <{tag}> root, found <{root.tag}>", root.line, root.column
-        )
+        raise wrong_root(root, tag)
     return root
+
+
+def wrong_root(root: XmlNode, tag: str) -> UnknownElementError:
+    """The error for a document whose root element is not ``<tag>``."""
+    return UnknownElementError(
+        f"expected <{tag}> root, found <{root.tag}>", root.line, root.column
+    )
 
 
 def unexpected(child: XmlNode, where: str) -> UnknownElementError:
@@ -139,16 +167,28 @@ def render_xml(node: XmlNode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _escape(text: str, escapes: dict[str, str]) -> str:
-    for char, entity in escapes.items():
-        text = text.replace(char, entity)
-    return text
+def escape_text(text: str) -> str:
+    """Character data with ``& < >`` written as entities ("&" first, so no
+    entity written here is escaped again)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def escape_attr(text: str) -> str:
+    """An attribute value for double quotes; line breaks and tabs become
+    character references, so they survive attribute-value normalization."""
+    return (
+        escape_text(text)
+        .replace('"', "&quot;")
+        .replace("\n", "&#10;")
+        .replace("\t", "&#9;")
+        .replace("\r", "&#13;")
+    )
 
 
 def _render_into(node: XmlNode, lines: list[str], depth: int) -> None:
     pad = "  " * depth
     attrs = "".join(
-        f' {name}="{_escape(value, _ATTR_ESCAPES)}"'
+        f' {name}="{escape_attr(value)}"'
         for name, value in sorted(node.attrib.items())
     )
     if node.children:
@@ -157,7 +197,7 @@ def _render_into(node: XmlNode, lines: list[str], depth: int) -> None:
             _render_into(child, lines, depth + 1)
         lines.append(f"{pad}</{node.tag}>")
     elif node.text:
-        lines.append(f"{pad}<{node.tag}{attrs}>{_escape(node.text, _TEXT_ESCAPES)}</{node.tag}>")
+        lines.append(f"{pad}<{node.tag}{attrs}>{escape_text(node.text)}</{node.tag}>")
     else:
         lines.append(f"{pad}<{node.tag}{attrs}/>")
 

@@ -13,6 +13,12 @@ components omitted: an all-wildcard Target, an empty attribute_Set, the
 default right, the any-purpose marker "n/a", and the empty condition produce
 no element at all.  parse(serialize(x)) is structurally equal to x, and
 serializing twice is byte-identical.
+
+The two documents of every decision request take no tree.  A response is
+written from one template that yields the bytes render_xml would write for
+its tree, with the escapes xmlbase uses.  A request is read in one pass by
+expat handlers that fill its fields; its schema findings are raised after
+the parse, in the order a walk of its tree would meet them.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .errors import (
     DuplicateRuleNameError,
     MissingCategoryError,
     UnknownConditionTypeError,
+    UnknownElementError,
     UnknownOntologyRefError,
 )
 from .ontology import ONTOLOGY_KINDS, AttributeDescriptor, ConceptRef, WILDCARD_ID
@@ -62,10 +69,14 @@ def required_attr(node: XmlNode, name: str) -> str:
     """The value of a required, non-empty XML attribute; DocumentError otherwise."""
     value = node.get(name)
     if value is None or value == "":
-        raise DocumentError(
-            f"<{node.tag}> is missing required attribute {name!r}", node.line, node.column
-        )
+        raise _missing_attr(node, name)
     return value
+
+
+def _missing_attr(node: XmlNode, name: str) -> DocumentError:
+    return DocumentError(
+        f"<{node.tag}> is missing required attribute {name!r}", node.line, node.column
+    )
 
 
 def _parse_bool_attr(node: XmlNode, name: str, default: bool) -> bool:
@@ -498,7 +509,7 @@ def serialize_purposes(tree: PurposeTree) -> str:
 # --- requests ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XacmlRequestDoc:
     """Parsed request wire document; ids are still unresolved strings."""
 
@@ -527,37 +538,137 @@ def parse_wire_attribute(node: XmlNode) -> AttributeDescriptor:
     )
 
 
-def parse_xacml_request(text: str | bytes) -> XacmlRequestDoc:
-    root = xmlbase.parse_root(text, "request")
-    for child in root.children:
-        if child.tag not in ("subject", "resource", "action", "purpose", "environment"):
-            raise xmlbase.unexpected(child, "in <request>")
-    for category in ("subject", "resource", "action", "environment", "purpose"):
-        if root.find(category) is None:
-            raise MissingCategoryError(
-                f"request is missing the {category} category", root.line, root.column
+_CATEGORIES = ("subject", "resource", "action", "environment", "purpose")
+_ID_CATEGORIES = ("subject", "resource", "action", "purpose")  # each needs an id
+
+# The schema checks of a request, in the order their findings are raised.
+_ROOT, _CHILDREN, _SUBJECT, _ENVIRONMENT = range(4)
+
+
+class _RequestReader:
+    """expat handlers that fill a request's fields as its elements arrive.
+
+    Every category appears once and only subject and environment have
+    children, so each element has exactly one place.  The whole document is
+    parsed before any schema check is raised, so malformed XML wins: the
+    first finding of each check is kept, and :meth:`result` raises them in
+    check order.
+    """
+
+    def __init__(self) -> None:
+        self.starts = 0
+        # end events only need counting, so their handler is this list's
+        # append, which runs no Python code: depth = starts - len(ends)
+        self.ends: list[str] = []
+        self.category: str | None = None  # the latest depth-2 element, if a first-seen category
+        self.root = (0, 0)
+        self.ids: dict[str, str] = {}  # category -> id, for every category seen
+        self.missing_ids: dict[str, DocumentError] = {}
+        self.attributes: list[AttributeDescriptor] = []
+        self.environment: dict[str, Scalar] = {}
+        self.findings: list[DocumentError | None] = [None] * 4
+        self.failed = False
+
+    def _find(self, check: int, error: DocumentError) -> None:
+        if self.findings[check] is None:
+            self.findings[check] = error
+            self.failed = True
+
+    def start(self, tag: str, attrs: dict[str, str]) -> None:
+        self.starts += 1
+        depth = self.starts - len(self.ends)
+        if depth == 2:
+            if tag in self.ids or tag not in _CATEGORIES:
+                self.category = None
+                self._stray(tag, attrs)
+                return
+            self.category = tag
+            self.ids[tag] = attrs.get("id", "")
+            if not self.ids[tag] and tag != "environment":
+                self.missing_ids[tag] = _missing_attr(_node(tag, attrs), "id")
+                self.failed = True
+        elif depth == 3:
+            if self.category is not None:
+                self._child(tag, attrs)
+        elif depth == 1:
+            self.root = xmlbase.position()
+            if tag != "request":
+                self._find(_ROOT, xmlbase.wrong_root(_node(tag, attrs), "request"))
+
+    def _stray(self, tag: str, attrs: dict[str, str]) -> None:
+        node = _node(tag, attrs)
+        if tag in self.ids:
+            error = UnknownElementError(
+                f"<request> has more than one <{tag}>", node.line, node.column
             )
-    subject = root.find("subject")
-    attributes = []
-    for child in subject.children:
-        if child.tag != "attribute":
-            raise xmlbase.unexpected(child, "in <subject>")
-        attributes.append(parse_wire_attribute(child))
-    environment: dict[str, Scalar] = {}
-    env = root.find("environment")
-    for child in env.children:
-        if child.tag != "attribute":
-            raise xmlbase.unexpected(child, "in <environment>")
-        name = required_attr(child, "name")
-        environment[name] = parse_scalar(child.get("type", "string"), required_attr(child, "value"), child)
-    return XacmlRequestDoc(
-        subject_id=required_attr(subject, "id"),
-        subject_attributes=tuple(attributes),
-        resource_id=required_attr(root.find("resource"), "id"),
-        action_id=required_attr(root.find("action"), "id"),
-        purpose_id=required_attr(root.find("purpose"), "id"),
-        environment=environment,
-    )
+        else:
+            error = xmlbase.unexpected(node, "in <request>")
+        self._find(_CHILDREN, error)
+
+    def _child(self, tag: str, attrs: dict[str, str]) -> None:
+        category = self.category
+        if category not in ("subject", "environment"):
+            self._find(_CHILDREN, xmlbase.unexpected(_node(tag, attrs), f"in <{category}>"))
+            return
+        check = _SUBJECT if category == "subject" else _ENVIRONMENT
+        if self.findings[check] is not None:
+            return
+        node = _node(tag, attrs)
+        try:
+            if tag != "attribute":
+                raise xmlbase.unexpected(node, f"in <{category}>")
+            if check == _SUBJECT:
+                self.attributes.append(parse_wire_attribute(node))
+            else:
+                name = required_attr(node, "name")
+                self.environment[name] = parse_scalar(
+                    attrs.get("type", "string"), required_attr(node, "value"), node
+                )
+        except DocumentError as exc:
+            self._find(check, exc)
+
+    def result(self) -> XacmlRequestDoc:
+        ids = self.ids
+        if self.failed or len(ids) < len(_CATEGORIES):
+            self._raise_first()
+        return XacmlRequestDoc(
+            subject_id=ids["subject"],
+            subject_attributes=tuple(self.attributes),
+            resource_id=ids["resource"],
+            action_id=ids["action"],
+            purpose_id=ids["purpose"],
+            environment=self.environment,
+        )
+
+    def _raise_first(self) -> None:
+        for check in (_ROOT, _CHILDREN):
+            if self.findings[check] is not None:
+                raise self.findings[check]
+        for category in _CATEGORIES:
+            if category not in self.ids:
+                raise MissingCategoryError(
+                    f"request is missing the {category} category", *self.root
+                )
+        for check in (_SUBJECT, _ENVIRONMENT):
+            if self.findings[check] is not None:
+                raise self.findings[check]
+        for category in _ID_CATEGORIES:
+            if category in self.missing_ids:
+                raise self.missing_ids[category]
+
+
+def _node(tag: str, attrs: dict[str, str]) -> XmlNode:
+    """A childless node at the position of the element being started, for
+    the shared attribute readers and error builders."""
+    line, column = xmlbase.position()
+    return XmlNode(tag=tag, attrib=attrs, line=line, column=column)
+
+
+def parse_xacml_request(text: str | bytes) -> XacmlRequestDoc:
+    """A request from its wire document, read in one pass with no tree."""
+    reader = _RequestReader()
+    xmlbase.parse_events(text, reader.start, reader.ends.append)
+    return reader.result()
 
 
 def wire_attribute_node(attr: AttributeDescriptor) -> XmlNode:
@@ -600,7 +711,7 @@ def serialize_xacml_request(doc: XacmlRequestDoc) -> str:
 # --- responses --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XacmlResponseDoc:
     decision: str
     status: str
@@ -632,17 +743,30 @@ def response_doc_for(decision) -> XacmlResponseDoc:
 
 
 def serialize_xacml_response(doc: XacmlResponseDoc) -> str:
-    children = [
-        elem("decision", text=doc.decision),
-        elem("status", text=doc.status),
+    """The canonical response, written from one template with no tree."""
+    lines = [
+        xmlbase.XML_DECL,
+        "<response>",
+        _leaf("  ", "decision", doc.decision),
+        _leaf("  ", "status", doc.status),
     ]
     if doc.right:
-        children.append(elem("right", {"id": doc.right}))
+        lines.append(f'  <right id="{xmlbase.escape_attr(doc.right)}"/>')
     if doc.rule:
-        children.append(elem("rule", {"name": doc.rule}))
+        lines.append(f'  <rule name="{xmlbase.escape_attr(doc.rule)}"/>')
     if doc.trace:
-        children.append(elem("trace", {}, *[elem("entry", text=e) for e in doc.trace]))
-    return xmlbase.render_xml(elem("response", {}, *children))
+        lines.append("  <trace>")
+        lines += [_leaf("    ", "entry", entry) for entry in doc.trace]
+        lines.append("  </trace>")
+    lines.append("</response>\n")
+    return "\n".join(lines)
+
+
+def _leaf(pad: str, tag: str, text: str) -> str:
+    # a text-only element as render_xml writes it; empty text self-closes
+    if not text:
+        return f"{pad}<{tag}/>"
+    return f"{pad}<{tag}>{xmlbase.escape_text(text)}</{tag}>"
 
 
 def parse_xacml_response(text: str | bytes) -> XacmlResponseDoc:

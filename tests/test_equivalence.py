@@ -1,0 +1,264 @@
+"""Equivalence gates: each lean request-path step against the generic
+construction it replaced, which is kept here and nowhere else.
+
+* the response template against ``render_xml`` of the response tree;
+* the tree-free request parse against ``parse_root`` plus a walk of the tree,
+  document and error alike;
+* the compiled rule scan against the clause-by-clause traced walk, rule by
+  rule, and ``decide`` against evaluating every rule with that walk.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from randgen import random_request_for, random_store
+from sacpdp.errors import DocumentError, MissingCategoryError, UnknownElementError
+from sacpdp.pdp import (
+    _COMBINE_PRECEDENCE,
+    Decision,
+    DecisionValue,
+    _evaluate_rule_traced,
+    _RequestSets,
+    _trace_rule,
+    decide,
+)
+from sacpdp.xmlbase import elem, parse_root, render_xml, unexpected
+from sacpdp.xmlio import (
+    XacmlRequestDoc,
+    XacmlResponseDoc,
+    parse_scalar,
+    parse_wire_attribute,
+    parse_xacml_request,
+    required_attr,
+    serialize_xacml_response,
+)
+
+# --- response template ------------------------------------------------------
+
+MARKUP = st.text(alphabet=st.sampled_from(list('ab &<>"\n\t\r\'é')), max_size=12)
+TEXT = st.one_of(MARKUP, st.text(max_size=12))
+
+
+def response_tree_text(doc: XacmlResponseDoc) -> str:
+    children = [elem("decision", text=doc.decision), elem("status", text=doc.status)]
+    if doc.right:
+        children.append(elem("right", {"id": doc.right}))
+    if doc.rule:
+        children.append(elem("rule", {"name": doc.rule}))
+    if doc.trace:
+        children.append(elem("trace", {}, *[elem("entry", text=e) for e in doc.trace]))
+    return render_xml(elem("response", {}, *children))
+
+
+@given(
+    decision=TEXT,
+    status=TEXT,
+    right=st.one_of(st.none(), TEXT),
+    rule=st.one_of(st.none(), TEXT),
+    trace=st.lists(TEXT, max_size=4).map(tuple),
+)
+@settings(max_examples=300, deadline=None)
+def test_response_template_matches_tree(decision, status, right, rule, trace):
+    doc = XacmlResponseDoc(decision=decision, status=status, right=right, rule=rule, trace=trace)
+    assert serialize_xacml_response(doc) == response_tree_text(doc)
+
+
+# --- request parse ----------------------------------------------------------
+
+_CATEGORIES = ("subject", "resource", "action", "environment", "purpose")
+
+
+def tree_parse_request(text) -> XacmlRequestDoc:
+    """A request by the tree walk, with every category once and no child
+    under resource, action or purpose."""
+    root = parse_root(text, "request")
+    seen = set()
+    for child in root.children:
+        if child.tag not in _CATEGORIES:
+            raise unexpected(child, "in <request>")
+        if child.tag in seen:
+            raise UnknownElementError(
+                f"<request> has more than one <{child.tag}>", child.line, child.column
+            )
+        seen.add(child.tag)
+        if child.tag not in ("subject", "environment") and child.children:
+            raise unexpected(child.children[0], f"in <{child.tag}>")
+    for category in ("subject", "resource", "action", "environment", "purpose"):
+        if root.find(category) is None:
+            raise MissingCategoryError(
+                f"request is missing the {category} category", root.line, root.column
+            )
+    subject = root.find("subject")
+    attributes = []
+    for child in subject.children:
+        if child.tag != "attribute":
+            raise unexpected(child, "in <subject>")
+        attributes.append(parse_wire_attribute(child))
+    environment = {}
+    for child in root.find("environment").children:
+        if child.tag != "attribute":
+            raise unexpected(child, "in <environment>")
+        name = required_attr(child, "name")
+        environment[name] = parse_scalar(child.get("type", "string"), required_attr(child, "value"), child)
+    return XacmlRequestDoc(
+        subject_id=required_attr(subject, "id"),
+        subject_attributes=tuple(attributes),
+        resource_id=required_attr(root.find("resource"), "id"),
+        action_id=required_attr(root.find("action"), "id"),
+        purpose_id=required_attr(root.find("purpose"), "id"),
+        environment=environment,
+    )
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except DocumentError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def rarely(draw, odds: int = 12) -> bool:
+    # True last: Hypothesis favours the first choice and shrinks towards it
+    return draw(st.sampled_from([False] * (odds - 1) + [True]))
+
+
+IDS = st.sampled_from(["joan", "records/jen", "read", "a&b", "x y"])
+VALUES = st.sampled_from(["5", "-2", "2.5", "true", "x<y"])
+
+
+@st.composite
+def wire_attribute(draw):
+    attrs = {"name": draw(st.sampled_from(["doctor", "medic", "years"]))}
+    for key, values in (
+        ("soa", st.sampled_from(["hospital_ADMIN", ""])),
+        ("e", st.sampled_from(["Enabled", "no"])),
+        ("value", VALUES),
+        ("type", st.sampled_from(["string", "int", "decimal", "bool"])),
+        ("attribute_id", st.sampled_from(["c1", ""])),
+    ):
+        if draw(st.booleans()):
+            attrs[key] = draw(values)
+    if rarely(draw):
+        attrs[draw(st.sampled_from(["name", "value", "type"]))] = draw(st.sampled_from(["", "no", "date"]))
+    # a grandchild of a category is not checked, by either parser
+    return ("attribute", attrs, [("x", {}, [])] if rarely(draw, 20) else [])
+
+
+@st.composite
+def wire_request(draw):
+    """A request element tree, mostly well formed, with rare mutations:
+    dropped, repeated, reordered or unknown categories, stray children and
+    grandchildren, missing or empty ids, bad values and types."""
+    def category(tag):
+        attrs = {} if tag == "environment" else {"id": draw(IDS)}
+        if rarely(draw, 20):
+            attrs["id"] = ""
+        if rarely(draw, 20):
+            attrs.pop("id", None)
+        children = []
+        if tag in ("subject", "environment"):
+            children = draw(st.lists(wire_attribute(), max_size=3))
+        if rarely(draw, 25):
+            children.insert(draw(st.integers(0, len(children))), (draw(st.sampled_from(["role", "x"])), {}, []))
+        return (tag, attrs, children)
+
+    tags = list(_CATEGORIES)
+    if rarely(draw, 4):
+        tags = list(draw(st.permutations(tags)))
+    if rarely(draw):
+        tags.remove(draw(st.sampled_from(_CATEGORIES)))
+    if rarely(draw):
+        tags.insert(draw(st.integers(0, len(tags))), draw(st.sampled_from(_CATEGORIES)))
+    if rarely(draw):
+        tags.insert(draw(st.integers(0, len(tags))), "bogus")
+    children = [category(tag) if tag != "bogus" else ("bogus", {}, []) for tag in tags]
+    return ("req" if rarely(draw, 20) else "request", {}, children)
+
+
+def render(node, indent, depth=0) -> str:
+    tag, attrs, children = node
+    pad = indent * depth
+    attr_text = "".join(f' {k}="{escape(v)}"' for k, v in attrs.items())
+    if not children:
+        return f"{pad}<{tag}{attr_text}/>"
+    inner = "\n".join(render(c, indent, depth + 1) for c in children)
+    return f"{pad}<{tag}{attr_text}>\n{inner}\n{pad}</{tag}>"
+
+
+def escape(value: str) -> str:
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+
+
+@given(
+    tree=wire_request(),
+    indent=st.sampled_from(["", "  ", "\t"]),
+    declaration=st.booleans(),
+    cut=st.one_of(st.none(), st.none(), st.none(), st.floats(0, 1)),
+    as_bytes=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_request_parse_matches_tree_walk(tree, indent, declaration, cut, as_bytes):
+    text = ('<?xml version="1.0" encoding="UTF-8"?>\n' if declaration else "") + render(tree, indent)
+    if cut is not None:  # truncated XML
+        text = text[: int(len(text) * cut)]
+    data = text.encode("utf-8") if as_bytes else text
+    assert outcome(parse_xacml_request, data) == outcome(tree_parse_request, data)
+
+
+def test_request_parse_matches_tree_walk_on_invalid_utf8():
+    data = b'<request><subject id="jo\xffan"/></request>'
+    assert outcome(parse_xacml_request, data) == outcome(tree_parse_request, data)
+
+
+# --- rule scan --------------------------------------------------------------
+
+
+def traced_decide(store, req) -> Decision:
+    """Every rule walked clause by clause, then combined."""
+    version_entry = f"store version {store.version}"
+    evaluated = []
+    for index, rule in enumerate(store.policy.rules):
+        value, trace = _trace_rule(rule, req, store)
+        evaluated.append((index, rule, value, trace))
+    applicable = [e for e in evaluated if e[2] is not DecisionValue.NOT_APPLICABLE]
+    if not applicable:
+        explanation = (
+            version_entry,
+            f"no applicable rules: none of the {len(evaluated)} rule(s) matched the request",
+        )
+        return Decision(DecisionValue.NOT_APPLICABLE, None, None, explanation, False)
+    top = max(e[1].priority for e in applicable)
+    pool = [e for e in applicable if e[1].priority == top]
+    index, rule, value, trace = min(pool, key=lambda e: (_COMBINE_PRECEDENCE.index(e[2]), e[0]))
+    explanation = (
+        version_entry,
+        f"combining: {len(applicable)} applicable rule(s), highest priority {top}",
+        *trace,
+        f"selected rule {rule.name}: {value.value}",
+    )
+    return Decision(
+        value=value,
+        granted_right=rule.right if value is DecisionValue.PERMIT else None,
+        matched_rule=rule.name,
+        explanation=explanation,
+        masked=(not rule.public) and value is not DecisionValue.PERMIT,
+    )
+
+
+@given(seed=st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=400, deadline=None)
+def test_scan_value_matches_traced_walk_for_every_rule(seed):
+    # random stores; requests with ghost concepts, ghost actions, unknown
+    # purposes, untrusted issuers and wrong-kind context values
+    rng = random.Random(seed)
+    store = random_store(rng)
+    for _ in range(4):
+        request = random_request_for(rng, store)
+        facts = _RequestSets(store, request)
+        for compiled in store.compiled.rules:
+            scanned, trace = _evaluate_rule_traced(compiled, facts)
+            assert trace == ()
+            assert scanned is _trace_rule(compiled.rule, request, store)[0], compiled.rule.name
+        assert decide(store, request) == traced_decide(store, request)

@@ -512,6 +512,29 @@ class TestDecideEndpoint:
         assert "not valid UTF-8" in r.text
         assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                '<request><subject id="joan"/><subject id="mallory"><bogus/></subject>'
+                '<resource id="records/jen"/><action id="read"/><purpose id="treat"/>'
+                "<environment/></request>",
+                "<request> has more than one <subject> (line 1, column 29)",
+            ),
+            (
+                '<request><subject id="joan"/><resource id="records/jen"><x/></resource>'
+                '<action id="read"/><purpose id="treat"/><environment/></request>',
+                "unexpected element <x> in <resource> (line 1, column 56)",
+            ),
+        ],
+        ids=["repeated-category", "stray-child"],
+    )
+    def test_request_shape_400_audited_once(self, gateway, body, message):
+        _, base, _, audit_path = gateway
+        r = requests.post(f"{base}/pdp/decide", data=body.encode(), timeout=10)
+        assert (r.status_code, r.text) == (400, message + "\n")
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
+
     def test_unknown_purpose_400(self, gateway):
         _, base, _, _ = gateway
         body = (
@@ -664,6 +687,29 @@ class TestAuditLog:
         assert deny["masked"] is True
         assert deny["matched_rule"] is None  # masked records never name the rule
         assert error["decision"] == "error"
+
+    def test_lines_keep_sorted_key_order(self, gw_with_conflict):
+        # each line reads as json.dumps(record, sort_keys=True) writes it,
+        # the conflicts key included
+        lines = gw_with_conflict.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        assert [line == json.dumps(json.loads(line), sort_keys=True) for line in lines] == [True] * 3
+        assert "conflicts" in json.loads(lines[1])
+
+    @pytest.fixture
+    def gw_with_conflict(self, gateway):
+        """An audit log of a Permit, a decision with a registry conflict, and
+        an error."""
+        _, base, _, audit_path = gateway
+        registry = (EHEALTH / "ehealth_registry.xml").read_text(encoding="utf-8")
+        valued = '<attribute name="years_of_service" soa="hospital_ADMIN" type="int" value="10"/>'
+        registry = registry.replace('<subject id="joan">', f'<subject id="joan">{valued}', 1)
+        assert requests.put(f"{base}/admin/registry", data=registry.encode(), timeout=10).status_code == 200
+        body = (EHEALTH / "requests" / "01_doctor_reads_record.xml").read_bytes()
+        requests.post(f"{base}/pdp/decide", data=body.replace(b'id="joan"', b'id="harrison"'), timeout=10)
+        requests.post(f"{base}/pdp/decide", data=body, timeout=10)  # says 5 years
+        requests.post(f"{base}/pdp/decide", data=b"<request/>", timeout=10)
+        return audit_path
 
     def test_permit_count_matches_upstream_hits(self, gateway):
         _, base, stub, audit_path = gateway

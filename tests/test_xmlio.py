@@ -1,5 +1,6 @@
 """Document I/O: parsing, canonical serialization, golden files, error positions."""
 
+import gc
 import random
 
 import pytest
@@ -283,6 +284,53 @@ class TestRequestDocuments:
         assert doc.subject_attributes[0].soa_id == "hospital_ADMIN"
         assert doc.subject_attributes[0].equivalence_enabled is True
         assert doc.subject_attributes[1].value == 5
+
+
+class TestRequestShape:
+    """Every category appears once, and only subject and environment have
+    children."""
+
+    def test_repeated_category_is_rejected(self):
+        text = (
+            '<request>\n<subject id="joan"/>\n<subject id="mallory"><bogus/></subject>\n'
+            '<resource id="r"/><action id="a"/><purpose id="p"/><environment/>\n</request>'
+        )
+        with pytest.raises(UnknownElementError) as err:
+            parse_xacml_request(text)
+        assert str(err.value) == "<request> has more than one <subject> (line 3, column 0)"
+
+    @pytest.mark.parametrize("category", ["resource", "action", "purpose"])
+    def test_child_of_an_id_only_category_is_rejected(self, category):
+        parts = {c: f'<{c} id="x"/>' for c in ("subject", "resource", "action", "purpose")}
+        parts[category] = f'<{category} id="x">\n  <x/>\n</{category}>'
+        text = "<request>" + "".join(parts.values()) + "<environment/></request>"
+        with pytest.raises(UnknownElementError) as err:
+            parse_xacml_request(text)
+        assert str(err.value) == f"unexpected element <x> in <{category}> (line 2, column 2)"
+
+    def test_malformed_xml_still_wins(self):
+        text = '<request><subject id="a"/><subject id="b"/><resource id="r">'
+        with pytest.raises(MalformedXmlError):
+            parse_xacml_request(text)
+
+    def test_request_children_are_checked_before_missing_categories(self):
+        with pytest.raises(UnknownElementError):
+            parse_xacml_request('<request><resource id="r"><x/></resource></request>')
+
+
+def test_parses_leave_no_cyclic_garbage():
+    request = (EHEALTH / "requests" / "01_doctor_reads_record.xml").read_bytes()
+    policy = (EHEALTH / "ehealth_policy.xml").read_bytes()
+    ontology = (EHEALTH / "ehealth_so.xml").read_bytes()
+    gc.collect()
+    gc.disable()
+    try:
+        parse_xacml_request(request)
+        parse_policy(policy)
+        load_ontology(ontology)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestResponseDocuments:
