@@ -102,17 +102,18 @@ class CompiledStore:
 
 
 def _compile_store(
-    policy: PolicyDocument, graphs: Mapping[str, OntologyGraph], purposes: PurposeTree
+    policy: PolicyDocument,
+    graphs: Mapping[str, OntologyGraph],
+    purposes: PurposeTree,
+    previous: PolicyStore | None = None,
 ) -> CompiledStore:
-    """Index validated rules, graphs and purposes for matching by membership."""
-    ancestors = {kind: ancestor_sets(graphs[kind]) for kind in ("SO", "OO", "AO")}
-    so = graphs["SO"]
-    rights = {
-        node: frozenset().union(
-            *(ancestors["SO"][role.id] for role in inherited_rights_roles(so, ConceptRef("SO", node)))
-        )
-        for node in so.node_kinds
-    }
+    """Index validated rules, graphs and purposes for matching by membership.
+    The ancestor and rights sets depend on the SO, OO and AO graphs alone, so
+    they are taken from ``previous`` when it holds the very same graphs."""
+    if previous is not None and all(previous.graphs[kind] is graphs[kind] for kind in ("SO", "OO", "AO")):
+        ancestors, rights = previous.compiled.ancestors, previous.compiled.rights
+    else:
+        ancestors, rights = _compile_graphs(graphs)
 
     def clause(ref: ConceptRef) -> str | None:
         return None if ref.id == WILDCARD_ID else ref.id
@@ -136,6 +137,20 @@ def _compile_store(
     return CompiledStore(ancestors=ancestors, rights=rights, purposes=purpose_sets, rules=rules)
 
 
+def _compile_graphs(graphs: Mapping[str, OntologyGraph]) -> tuple[dict, dict]:
+    """The inclusive ancestor sets of every SO, OO and AO node, and every SO
+    node's rights: the union of the ancestor sets of the roles it holds."""
+    ancestors = {kind: ancestor_sets(graphs[kind]) for kind in ("SO", "OO", "AO")}
+    so = graphs["SO"]
+    rights = {
+        node: frozenset().union(
+            *(ancestors["SO"][role.id] for role in inherited_rights_roles(so, ConceptRef("SO", node)))
+        )
+        for node in so.node_kinds
+    }
+    return ancestors, rights
+
+
 @dataclass(frozen=True)
 class PolicyStore:
     """One immutable, versioned snapshot of everything a decision needs."""
@@ -154,9 +169,11 @@ def activate_store(
     purposes: PurposeTree,
     trusted_soas,
     version: int = 1,
+    previous: PolicyStore | None = None,
 ) -> PolicyStore:
     """Validate every rule against the graphs and tree, then compile and
-    freeze a store.
+    freeze a store; the graph sets of ``previous`` are reused when its SO, OO
+    and AO graphs are the ones given.
 
     Raises ActivationError carrying the full findings list if any rule fails;
     nothing is partially activated.
@@ -179,11 +196,11 @@ def activate_store(
         purposes=purposes,
         trusted_soas=frozenset(trusted_soas),
         version=version,
-        compiled=_compile_store(policy, graphs, purposes),
+        compiled=_compile_store(policy, graphs, purposes, previous),
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AccessRequest:
     """A normalized request; ids already resolved against the knowledge base."""
 
@@ -197,7 +214,7 @@ class AccessRequest:
     context: Mapping[str, Scalar] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Decision:
     value: DecisionValue
     granted_right: str | None = None
@@ -350,6 +367,9 @@ def _reach(concepts, kind: str, sets: Mapping[str, frozenset]) -> tuple[frozense
     to the first concept ``kind`` does not know; and the value of a rule
     clause that misses it: Indeterminate if such a concept was met, since
     the walk raises there, and NotApplicable otherwise."""
+    known = [sets.get(concept.id) if concept.ontology == kind else None for concept in concepts]
+    if None not in known:  # the order only matters up to an unknown concept
+        return frozenset().union(*known), DecisionValue.NOT_APPLICABLE
     reach = frozenset()
     for concept in _sorted_concepts(concepts):
         known = sets.get(concept.id) if concept.ontology == kind else None

@@ -28,6 +28,10 @@ class RegistryEntry:
     attributes: tuple = ()
 
 
+# what an unregistered id resolves to
+_NO_ENTRY = RegistryEntry()
+
+
 @dataclass(frozen=True)
 class ContextAttributeSpec:
     """Declared value range of one context attribute, for random generation.
@@ -187,8 +191,8 @@ def build_access_request(
     if wire.purpose_id not in store.purposes:
         raise UnknownPurposeError(f"unknown purpose {wire.purpose_id!r}")
 
-    subject = kb.subjects.get(wire.subject_id, RegistryEntry())
-    obj = kb.objects.get(wire.resource_id, RegistryEntry())
+    subject = kb.subjects.get(wire.subject_id, _NO_ENTRY)
+    obj = kb.objects.get(wire.resource_id, _NO_ENTRY)
 
     conflicts: list[str] = []
     context: dict[str, Scalar] = dict(wire.environment)

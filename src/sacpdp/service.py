@@ -7,15 +7,20 @@ PUT /admin/... swaps one document at a time; the whole assembly is revalidated
 and the swap is atomic, so concurrent decisions always see one consistent
 store version.
 
-One asyncio event loop serves every client connection, one coroutine each,
-and every upstream exchange; only admin swaps run on a worker thread, so
-decisions keep flowing while a large store is rebuilt.  Requests on a
-connection are answered in order, each in one write on a TCP_NODELAY socket.
-Each client connection forwards its Permits on one kept-alive upstream
-connection.  A request head is at most 64 KiB and 100 header lines (else
-431), HTTP/1.0 or HTTP/1.1 (else 505), with CRLF line endings.  Every request
-leaves through one exit: an unexpected error is a 500 with one ``error``
-audit record, and a failed audit write is a 503 with nothing forwarded.
+One asyncio event loop serves every client connection and every upstream
+exchange.  Each client connection is one ``asyncio.Protocol``: as bytes
+arrive it frames requests from its own buffer and answers /pdp/decide,
+/healthz, /admin/version, every refusal and every 4xx/5xx at once, inside
+``data_received``.  Only a Permit's upstream forward and an admin swap run
+on a task (the swap itself on a worker thread, so decisions keep flowing
+while a large store is rebuilt); the requests behind one wait in the buffer
+until it ends.  Requests on a connection are answered in order, each in one
+write on a TCP_NODELAY socket.  Each client connection forwards its Permits
+on one kept-alive upstream connection.  A request head is at most 64 KiB and
+100 header lines (else 431), HTTP/1.0 or HTTP/1.1 (else 505), with CRLF line
+endings (else 400).  Every request leaves through one exit: an unexpected
+error is a 500 with one ``error`` audit record, and a failed audit write is
+a 503 with nothing forwarded.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from functools import lru_cache
 from http import HTTPStatus
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -88,7 +94,7 @@ NOT_FORWARDED = HOP_BY_HOP | {
 # only the gateway says X-Decision.
 NOT_RELAYED = HOP_BY_HOP | {"content-length", "x-decision"}
 
-HEAD_LIMIT = 64 * 1024  # bytes in a request head; also the StreamReader limit
+HEAD_LIMIT = 64 * 1024  # bytes in a request head
 MAX_FIELDS = 100  # header lines in a request head
 UPSTREAM_TIMEOUT = 10  # seconds to connect, and for each upstream exchange
 
@@ -99,6 +105,46 @@ _FIELD_LINE = re.compile(rf"({_TOKEN}):[ \t]*([^\x00-\x08\x0a-\x1f\x7f]*?)[ \t]*
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 _log = logging.getLogger(__name__)
+
+# The keys of the gateway's audit records, in the order _audit writes them.
+_AUDIT_KEYS = ("action", "decision", "latency_ms", "masked", "matched_rule", "object", "purpose", "subject", "ts")
+_AUDIT_KEYS_CONFLICTS = ("action", "conflicts", *_AUDIT_KEYS[1:])
+
+
+def _json_text(value: str | None) -> str:
+    return "null" if value is None else _json_string(value)
+
+
+def _audit_line(record: dict) -> str:
+    """``json.dumps(record)`` and a newline.  A record with the keys and
+    value types that _audit writes is filled into a template instead."""
+    keys = tuple(record)
+    if keys == _AUDIT_KEYS:
+        conflicts = ""
+    elif keys == _AUDIT_KEYS_CONFLICTS:
+        conflicts = f'"conflicts": [{", ".join(map(_json_string, record["conflicts"]))}], '
+    else:
+        return json.dumps(record) + "\n"
+    return (
+        f'{{"action": {_json_text(record["action"])}, {conflicts}"decision": {_json_string(record["decision"])}, '
+        f'"latency_ms": {record["latency_ms"]!r}, "masked": {"true" if record["masked"] else "false"}, '
+        f'"matched_rule": {_json_text(record["matched_rule"])}, "object": {_json_text(record["object"])}, '
+        f'"purpose": {_json_text(record["purpose"])}, "subject": {_json_text(record["subject"])}, '
+        f'"ts": {_json_string(record["ts"])}}}\n'
+    )
+
+
+@lru_cache(maxsize=1)
+def _second_text(second: int) -> str:
+    t = time.gmtime(second)
+    return f"{t.tm_year:04d}-{t.tm_mon:02d}-{t.tm_mday:02d}T{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}"
+
+
+def _timestamp(ns: int) -> str:
+    """The UTC instant ``ns`` nanoseconds after the epoch, as
+    ``datetime.isoformat(timespec="milliseconds")`` writes it."""
+    second, rest = divmod(ns, 1_000_000_000)
+    return f"{_second_text(second)}.{rest // 1_000_000:03d}+00:00"
 
 
 @dataclass(frozen=True)
@@ -206,23 +252,29 @@ def _dot_segment(object_id: str) -> str | None:
 
 
 class Headers:
-    """The fields of one head: ``items`` in arrival order, looked up by name
-    in any case; repeated fields keep every value."""
+    """The fields of one head: ``items`` in arrival order, looked up by a
+    lower-case name in any case; repeated fields keep every value.  A head
+    has few fields and a request looks up few names, so a lookup scans
+    ``names``, the field names in lower case."""
+
+    __slots__ = ("items", "names")
 
     def __init__(self, lines: list[str]):
         """Parses ``name: value`` lines.  One with no colon, a name that is
         not a token (as after obsolete line folding) or a control character
         in its value raises RequestError(400)."""
-        self.items: list[tuple[str, str]] = []
-        self._index: dict[str, list[str]] = {}
+        items = []
         for line in lines:
             if (match := _FIELD_LINE.fullmatch(line)) is None:
                 raise RequestError(400, f"bad header line {line!r}")
-            self.items.append(match.groups())
-            self._index.setdefault(match[1].lower(), []).append(match[2])
+            items.append(match.groups())
+        self.items: list[tuple[str, str]] = items
+        self.names = [name.lower() for name, _ in items]
 
     def get_all(self, name: str) -> list[str]:
-        return self._index.get(name.lower(), [])
+        if name not in self.names:  # most names looked up are absent
+            return []
+        return [value for field, (_, value) in zip(self.names, self.items) if field == name]
 
     def get(self, name: str, default: str | None = None) -> str | None:
         return (self.get_all(name) or [default])[0]
@@ -233,8 +285,9 @@ class Headers:
 
 
 def _parse_head(head: bytes) -> tuple[str, str, bool, Headers]:
-    """Method, target, whether HTTP/1.0, and fields of a request head."""
-    request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+    """Method, target, whether HTTP/1.0, and fields of a request head, given
+    without the empty line that ends it."""
+    request_line, *lines = head.decode("latin-1").split("\r\n")
     if (match := _REQUEST_LINE.fullmatch(request_line)) is None:
         raise RequestError(400, f"bad request line {request_line!r}")
     method, target, major, minor = match.groups()
@@ -251,7 +304,7 @@ def _content_length(headers: Headers) -> int | None:
     """The body length a head declares, None when it declares none.  Two
     different values, or one that is not a non-negative integer, raise
     RequestError(400)."""
-    if len(values := set(headers.get_all("Content-Length"))) > 1:
+    if len(values := set(headers.get_all("content-length"))) > 1:
         raise RequestError(400, f"conflicting Content-Length values {sorted(values)}")
     if not values:
         return None
@@ -263,8 +316,8 @@ def _content_length(headers: Headers) -> int | None:
 def _end_to_end(headers: Headers, dropped: frozenset) -> list[tuple[str, str]]:
     """``headers`` less ``dropped`` and every header that Connection names;
     repeated headers stay repeated."""
-    named = set(headers.tokens("Connection"))
-    return [(n, v) for n, v in headers.items if n.lower() not in dropped and n.lower() not in named]
+    named = set(headers.tokens("connection"))
+    return [field for field, name in zip(headers.items, headers.names) if name not in dropped and name not in named]
 
 
 class Upstream:
@@ -341,11 +394,11 @@ class Upstream:
             if (match := _STATUS_LINE.fullmatch(status_line)) is None:
                 raise ValueError(f"bad upstream status line {status_line!r}")
             status, headers = int(match[2]), Headers(lines)
-        connection = headers.tokens("Connection")
+        connection = headers.tokens("connection")
         reusable = "close" not in connection and (match[1] != "0" or "keep-alive" in connection)
         if method == "HEAD" or status in (204, 304):
             return status, headers, None, reusable
-        if (codings := headers.tokens("Transfer-Encoding")) and codings[-1] == "chunked":
+        if (codings := headers.tokens("transfer-encoding")) and codings[-1] == "chunked":
             return status, headers, await self._chunked(), reusable
         if codings or (length := _content_length(headers)) is None:
             return status, headers, await reader.read(), False
@@ -382,6 +435,7 @@ class Gateway:
             config.audit_log.parent.mkdir(parents=True, exist_ok=True)
             self._audit_handle = open(config.audit_log, "a", encoding="utf-8")
         self._listener: socket.socket | None = None
+        self._connections: set[ClientConnection] = set()
         self._thread: threading.Thread | None = None
         self._stopping: Future | None = None  # set by stop(), from any thread
 
@@ -410,7 +464,7 @@ class Gateway:
                 docs[slot] = parse_document(slot, text, source="admin upload")
             except SacError as exc:
                 raise ActivationError([str(exc)]) from exc
-            findings, candidate = assemble(docs, store.trusted_soas, version=store.version + 1)
+            findings, candidate = assemble(docs, store.trusted_soas, version=store.version + 1, previous=store)
             if findings or candidate is None:
                 raise ActivationError(findings or ["activation failed"])
             self._state = (candidate, docs["registry"])
@@ -419,12 +473,13 @@ class Gateway:
     # -- audit ---------------------------------------------------------------
 
     def audit(self, record: dict) -> None:
-        """Append one record as one JSON line, its keys in the record's own
-        order, and flush it."""
+        """Append one record as the line ``json.dumps(record)`` writes, and
+        flush it."""
         if self._audit_handle is None:
             return
+        line = _audit_line(record)
         with self._audit_lock:
-            self._audit_handle.write(json.dumps(record) + "\n")
+            self._audit_handle.write(line)
             self._audit_handle.flush()
 
     # -- server lifecycle ----------------------------------------------------
@@ -463,108 +518,198 @@ class Gateway:
         asyncio.run(self._serve(self._bind()))
 
     async def _serve(self, listener: socket.socket) -> None:
-        def connected(reader, writer):
-            return ClientConnection(self, reader, writer).serve()
-
-        async with await asyncio.start_server(connected, sock=listener, limit=HEAD_LIMIT):
+        loop = asyncio.get_running_loop()
+        async with await loop.create_server(lambda: ClientConnection(self), sock=listener):
             await asyncio.wrap_future(self._stopping)
-        # asyncio.run then cancels the open connections and joins the worker threads
+        for connection in list(self._connections):
+            connection.transport.close()
+        await asyncio.sleep(0)  # their connection_lost callbacks run
+        # asyncio.run then cancels the forwards and swaps in flight and joins the worker threads
 
 
-class ClientConnection:
-    """One client connection: answers its requests in turn and owns its
-    upstream connection.  The attributes set in _read_request describe the
-    request being answered."""
+class ClientConnection(asyncio.Protocol):
+    """One client connection: it answers its requests in turn and owns its
+    upstream connection.
+
+    ``data_received`` frames each request from the connection's own buffer
+    and answers it at once.  Only a Permit's forward and an admin swap run on
+    a task, and the requests behind one wait in the buffer until it ends.
+    Request handling stops while the transport's write buffer is full, and
+    the input is paused while the buffer holds more than 2 × HEAD_LIMIT bytes
+    that cannot be answered yet.  The attributes set in _take_request
+    describe the request being answered."""
 
     method = target = ""
+    headers: Headers
     body = b""
     body_error: RequestError | None = None
     close = audited = False
+    started = 0.0
+    transport: asyncio.Transport
+    task: asyncio.Task | None = None  # answers the current request, when one does
+    pending: tuple[int, int] | None = None  # body offset and length of a head taken
+    eof = ended = reading_paused = False
+    writable = True
 
-    def __init__(self, gateway: Gateway, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self.gateway, self.reader, self.writer = gateway, reader, writer
+    def __init__(self, gateway: Gateway):
+        self.gateway = gateway
         self.upstream = Upstream(gateway.config.upstream)
+        self.buffer = bytearray()
 
-    async def serve(self) -> None:
-        try:
-            while not self.close:
-                try:
-                    if not await self._read_request():
-                        return
-                except RequestError as exc:
-                    self.method, self.close = "", True
-                    self._send(exc.status, f"{exc}\n".encode())
-                    return
-                await self._answer()
-                await self.writer.drain()
-        except OSError:
-            pass  # the client went away
-        except asyncio.CancelledError:
-            # The gateway stops.  Nothing awaits this task, and on Python 3.11
-            # the stream protocol's done callback reads task.exception(),
-            # which logs a cancelled task as an error: end it normally.
-            pass
-        finally:
+    # -- protocol callbacks --------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.gateway._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.ended = True
+        self.gateway._connections.discard(self)
+        if self.task is None:  # else the task closes it when it ends
             self.upstream.close()
-            self.writer.close()
 
-    async def _read_request(self) -> bool:
-        """Reads the next request's head and body; False when the client
-        closes the connection between requests."""
-        try:
-            head = await self.reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return False
-        except asyncio.LimitOverrunError as exc:
-            raise RequestError(431, f"request head over {HEAD_LIMIT} bytes") from exc
-        self.method, self.target, http10, self.headers = _parse_head(head)
-        connection = self.headers.tokens("Connection")
-        self.close = "close" in connection or (http10 and "keep-alive" not in connection)
-        self.body, self.body_error = b"", None
-        try:
-            if self.headers.get_all("Transfer-Encoding"):
-                raise RequestError(411, "Transfer-Encoding is not accepted: send a Content-Length")
-            length = _content_length(self.headers) or 0
-        except RequestError as exc:
-            self.body_error, self.close = exc, True
-            return True
-        if length:
-            if not http10 and self.headers.get("Expect", "").lower() == "100-continue":
-                self.writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._serve()
+        return True  # the transport stays open for the answers still due
+
+    def pause_writing(self) -> None:
+        self.writable = False
+
+    def resume_writing(self) -> None:
+        self.writable = True
+        self._serve()
+
+    # -- framing -------------------------------------------------------------
+
+    def _serve(self) -> None:
+        """Answers the buffered requests in order until one runs on a task,
+        the write buffer fills, the connection is to close, or the next
+        request's bytes have not all arrived."""
+        while self.task is None and self.writable and not self.ended:
             try:
-                self.body = await self.reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                message = f"body ends after {len(exc.partial)} of {length} bytes"
-                self.body_error, self.close = RequestError(400, message), True
+                if not self._take_request():
+                    if self.eof:  # a head cut short by the client's end is not answered
+                        self._end()
+                    break
+            except RequestError as exc:
+                self.method, self.close = "", True
+                self._send(exc.status, f"{exc}\n".encode())
+                self._end()
+                break
+            self._answer()
+            if self.close and self.task is None:
+                self._end()
+        if self.ended:
+            return
+        if (self.task is not None or not self.writable) and len(self.buffer) > 2 * HEAD_LIMIT:
+            if not self.reading_paused:
+                self.reading_paused = True
+                self.transport.pause_reading()
+        elif self.reading_paused:
+            self.reading_paused = False
+            self.transport.resume_reading()
+
+    def _take_request(self) -> bool:
+        """Takes the next request's head and body off the buffer; False
+        while its bytes have not all arrived."""
+        buffer = self.buffer
+        if self.pending is None:
+            end = buffer.find(b"\r\n\r\n")
+            if end < 0:
+                if len(buffer) - 3 > HEAD_LIMIT:
+                    raise RequestError(431, f"request head over {HEAD_LIMIT} bytes")
+                if buffer.count(b"\n") != buffer.count(b"\r\n"):
+                    raise RequestError(400, "request head lines must end in CRLF")
+                return False
+            if end > HEAD_LIMIT:
+                raise RequestError(431, f"request head over {HEAD_LIMIT} bytes")
+            self.method, self.target, http10, self.headers = _parse_head(buffer[:end])
+            connection = self.headers.tokens("connection")
+            self.close = "close" in connection or (http10 and "keep-alive" not in connection)
+            self.body, self.body_error = b"", None
+            try:
+                if self.headers.get_all("transfer-encoding"):
+                    raise RequestError(411, "Transfer-Encoding is not accepted: send a Content-Length")
+                length = _content_length(self.headers) or 0
+            except RequestError as exc:
+                # the body's end is unknown: the connection closes after the answer
+                self.body_error, self.close = exc, True
+                return True
+            if length and not http10 and self.headers.get("expect", "").lower() == "100-continue":
+                self.transport.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.pending = (end + 4, length)
+        start, length = self.pending
+        if len(buffer) < start + length:
+            if not self.eof:
+                return False
+            message = f"body ends after {len(buffer) - start} of {length} bytes"
+            self.body_error, self.close = RequestError(400, message), True
+        elif length:
+            self.body = bytes(buffer[start : start + length])
+        del buffer[: start + length]
+        self.pending = None
         return True
 
-    async def _answer(self) -> None:
-        """Routes one request.  This is its only exit: whatever an endpoint
-        raises becomes one answer here."""
-        started, self.audited = time.monotonic(), False
-        parts = urlsplit(self.target)
+    def _end(self) -> None:
+        """Closes the connection once what was written is sent."""
+        self.ended = True
+        self.transport.close()
+
+    # -- exits ---------------------------------------------------------------
+
+    def _answer(self) -> None:
+        """Routes one request.  This, or _finish for a request answered on a
+        task, is its only exit: whatever an endpoint raises becomes one answer."""
+        self.started, self.audited = time.monotonic(), False
         try:
+            parts = urlsplit(self.target)
             if self.method not in METHODS:
                 self._send(501, f"method {self.method} is not supported\n".encode())
             elif parts.path == "/pdp/decide" and self.method == "POST":
                 self._pdp_decide()
             elif parts.path == "/proxy" or parts.path.startswith("/proxy/"):
-                await self._proxy(self.method, parts)
+                self._proxy(self.method, parts)
             else:
-                await self._local(self.method, parts.path)
-        except AuditError:
+                self._local(self.method, parts.path)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _spawn(self, answer) -> None:
+        """Finishes the current request on a task running ``answer``."""
+        self.task = asyncio.get_running_loop().create_task(self._finish(answer))
+
+    async def _finish(self, answer) -> None:
+        try:
+            await answer
+        except Exception as exc:
+            self._fail(exc)
+        self.task = None
+        if self.ended:  # the client went away meanwhile
+            self.upstream.close()
+        elif self.close:
+            self._end()
+        else:
+            self._serve()
+
+    def _fail(self, exc: Exception) -> None:
+        """The answer to a request whose endpoint raised ``exc``."""
+        self.close = True
+        if isinstance(exc, AuditError):
             # fail closed: a decision that cannot be audited is not enforced
-            self.close = True
             self._send(503, b"audit log unavailable: request refused\n")
-        except Exception:
-            _log.exception("%s %s failed", self.method, self.target)
-            self.close = True
-            if not self.audited:
-                try:
-                    self._audit(started, None, None, None, None)
-                except AuditError:
-                    pass  # the 500 stands
-            self._send(500, b"internal error\n")
+            return
+        _log.error("%s %s failed", self.method, self.target, exc_info=exc)
+        if not self.audited:
+            try:
+                self._audit(None, None, None, None)
+            except AuditError:
+                pass  # the 500 stands
+        self._send(500, b"internal error\n")
 
     # -- plumbing ------------------------------------------------------------
 
@@ -587,14 +732,14 @@ class ClientConnection:
             lines.append("Connection: close")
         lines += [f"{name}: {value}" for name, value in extra]
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        self.writer.write(head if body is None or self.method == "HEAD" else head + body)
+        self.transport.write(head if body is None or self.method == "HEAD" else head + body)
 
     # -- endpoints -----------------------------------------------------------
 
-    async def _local(self, method: str, path: str) -> None:
-        """Health, version and admin requests, and every 404.  The body is read
-        first, used or not, so the next request on the connection starts
-        where this one ends."""
+    def _local(self, method: str, path: str) -> None:
+        """Health, version and admin requests, and every 404.  The body was
+        taken off the buffer with the head, used or not, so the next request
+        on the connection starts where this one ends."""
         try:
             body = self._body()
         except RequestError as exc:
@@ -605,14 +750,14 @@ class ClientConnection:
         elif path == "/admin/version" and method in ("GET", "HEAD"):
             self._send_version(self.gateway.version)
         elif path.startswith("/admin/") and method == "PUT":
-            await self._admin(path[len("/admin/") :], body)
+            self._admin(path[len("/admin/") :], body)
         else:
             self._send(404, b"not found\n")
 
     def _send_version(self, version: int) -> None:
         self._send(200, json.dumps({"version": version}).encode() + b"\n", "application/json")
 
-    async def _admin(self, name: str, body: bytes) -> None:
+    def _admin(self, name: str, body: bytes) -> None:
         slot = ADMIN_PATHS.get(name)
         if slot is None:
             self._send(404, f"unknown admin slot {name!r}\n".encode())
@@ -622,6 +767,9 @@ class ClientConnection:
         except UnicodeDecodeError:
             self._send(400, b"body is not valid UTF-8\n")
             return
+        self._spawn(self._swap(slot, text))
+
+    async def _swap(self, slot: str, text: str) -> None:
         try:
             # a large store takes long to rebuild; decisions go on meanwhile
             version = await asyncio.to_thread(self.gateway.admin_load, slot, text)
@@ -632,35 +780,34 @@ class ClientConnection:
         self._send_version(version)
 
     def _pdp_decide(self) -> None:
-        started = time.monotonic()
         store, kb = self.gateway.snapshot()
         try:
             wire = parse_xacml_request(self._body())
         except (SacError, ValueError) as exc:
-            self._audit(started, None, None, None, None)
+            self._audit(None, None, None, None)
             self._send(_status(exc), f"{exc}\n".encode())
             return
         ids = (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id)
         try:
             request, conflicts = build_access_request(wire, kb, store)
         except UnknownPurposeError as exc:
-            self._audit(started, *ids)
+            self._audit(*ids)
             self._send(400, f"{exc}\n".encode())
             return
         decision = decide(store, request)
-        self._audit(started, *ids, decision, conflicts)
+        self._audit(*ids, decision, conflicts)
         doc = response_doc_for(decision)
         body = serialize_xacml_response(doc).encode("utf-8")
         self._send(200, body, "application/xml", [("X-Decision", decision.value.value)])
 
-    async def _proxy(self, method: str, parts) -> None:
-        gateway = self.gateway
-        started = time.monotonic()
-        store, kb = gateway.snapshot()
+    def _proxy(self, method: str, parts) -> None:
+        """Decides a /proxy request; a refusal is answered here, and a
+        Permit's forward runs on a task."""
+        store, kb = self.gateway.snapshot()
         object_id = parts.path[len("/proxy/") :] if parts.path.startswith("/proxy/") else ""
         query = parse_qs(parts.query)
-        purpose = (query.get("purpose") or [self.headers.get("X-Purpose", "")])[0]
-        subject_id = self.headers.get("X-Subject", "anonymous")
+        purpose = (query.get("purpose") or [self.headers.get("x-purpose", "")])[0]
+        subject_id = self.headers.get("x-subject", "anonymous")
         action_id = METHOD_ACTIONS.get(method, FALLBACK_ACTION)
 
         problems: list[str] = []
@@ -675,16 +822,16 @@ class ClientConnection:
         environment: dict[str, object] = {}
         try:
             body = self._body()
-            for raw in self.headers.get_all("X-Attribute"):
+            for raw in self.headers.get_all("x-attribute"):
                 attrs.append(_parse_attribute_header(raw))
-            for raw in self.headers.get_all("X-Context"):
+            for raw in self.headers.get_all("x-context"):
                 key, value = _parse_context_header(raw)
                 environment[key] = value
         except (SacError, ValueError) as exc:
             problems.append(str(exc))
             status = _status(exc)
         if problems:
-            self._audit(started, subject_id, object_id or None, action_id, purpose or None)
+            self._audit(subject_id, object_id or None, action_id, purpose or None)
             self._send(status, ("\n".join(problems) + "\n").encode())
             return
 
@@ -699,11 +846,11 @@ class ClientConnection:
         try:
             request, conflicts = build_access_request(wire, kb, store)
         except UnknownPurposeError as exc:
-            self._audit(started, subject_id, object_id, action_id, purpose)
+            self._audit(subject_id, object_id, action_id, purpose)
             self._send(400, f"{exc}\n".encode())
             return
         decision = decide(store, request)
-        self._audit(started, subject_id, object_id, action_id, purpose, decision, conflicts)
+        self._audit(subject_id, object_id, action_id, purpose, decision, conflicts)
 
         if decision.value is not DecisionValue.PERMIT:
             # masked refusals must be byte-exact "access denied", so no newline here
@@ -716,10 +863,11 @@ class ClientConnection:
         target = f"{self.upstream.path}/{object_id}"
         if parts.query:
             target += f"?{parts.query}"
+        self._spawn(self._forward(method, target, body, _end_to_end(self.headers, NOT_FORWARDED)))
+
+    async def _forward(self, method: str, target: str, body: bytes, fields: list) -> None:
         try:
-            status, headers, content = await self.upstream.exchange(
-                method, target, body, _end_to_end(self.headers, NOT_FORWARDED)
-            )
+            status, headers, content = await self.upstream.exchange(method, target, body, fields)
         except (OSError, EOFError, ValueError, asyncio.LimitOverrunError, asyncio.TimeoutError) as exc:
             self._send(502, f"upstream unreachable: {exc}\n".encode(), extra=[("X-Decision", "Permit")])
             return
@@ -728,9 +876,7 @@ class ClientConnection:
 
     # -- audit records -------------------------------------------------------
 
-    def _audit(
-        self, started, subject, obj, action, purpose, decision: Decision | None = None, conflicts=()
-    ) -> None:
+    def _audit(self, subject, obj, action, purpose, decision: Decision | None = None, conflicts=()) -> None:
         """Write one audit record; without a decision, the request is recorded
         as an ``error`` (refused before it could be decided).  A write that
         fails raises AuditError."""
@@ -739,13 +885,13 @@ class ClientConnection:
         if conflicts:
             record["conflicts"] = list(conflicts)
         record["decision"] = "error" if decision is None else decision.value.value
-        record["latency_ms"] = round((time.monotonic() - started) * 1000, 3)
+        record["latency_ms"] = round((time.monotonic() - self.started) * 1000, 3)
         record["masked"] = decision is not None and decision.masked
         record["matched_rule"] = None if decision is None or decision.masked else decision.matched_rule
         record["object"] = obj
         record["purpose"] = purpose
         record["subject"] = subject
-        record["ts"] = datetime.now(timezone.utc).isoformat(timespec="milliseconds")
+        record["ts"] = _timestamp(time.time_ns())
         try:
             self.gateway.audit(record)
         except (OSError, ValueError) as exc:  # ValueError: the log file is closed

@@ -509,7 +509,7 @@ def serialize_purposes(tree: PurposeTree) -> str:
 # --- requests ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class XacmlRequestDoc:
     """Parsed request wire document; ids are still unresolved strings."""
 
@@ -711,7 +711,7 @@ def serialize_xacml_request(doc: XacmlRequestDoc) -> str:
 # --- responses --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class XacmlResponseDoc:
     decision: str
     status: str

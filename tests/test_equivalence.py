@@ -5,15 +5,25 @@ construction it replaced, which is kept here and nowhere else.
 * the tree-free request parse against ``parse_root`` plus a walk of the tree,
   document and error alike;
 * the compiled rule scan against the clause-by-clause traced walk, rule by
-  rule, and ``decide`` against evaluating every rule with that walk.
+  rule, and ``decide`` against evaluating every rule with that walk;
+* a store that reuses its predecessor's compiled graph sets against one
+  compiled afresh;
+* the audit-line template against ``json.dumps`` of the record, and its
+  timestamp against ``datetime.isoformat``.
 """
 
+import calendar
+import json
 import random
+from datetime import datetime, timezone
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import random_request_for, random_store
+from sacpdp import pdp
+from sacpdp.ontology import ancestor_sets
+from sacpdp.service import _audit_line, _timestamp
 from sacpdp.errors import DocumentError, MissingCategoryError, UnknownElementError
 from sacpdp.pdp import (
     _COMBINE_PRECEDENCE,
@@ -22,8 +32,10 @@ from sacpdp.pdp import (
     _evaluate_rule_traced,
     _RequestSets,
     _trace_rule,
+    activate_store,
     decide,
 )
+from sacpdp.policy import PolicyDocument
 from sacpdp.xmlbase import elem, parse_root, render_xml, unexpected
 from sacpdp.xmlio import (
     XacmlRequestDoc,
@@ -262,3 +274,103 @@ def test_scan_value_matches_traced_walk_for_every_rule(seed):
             assert trace == ()
             assert scanned is _trace_rule(compiled.rule, request, store)[0], compiled.rule.name
         assert decide(store, request) == traced_decide(store, request)
+
+
+# --- graph sets kept across a policy swap -----------------------------------
+
+
+@given(seed=st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=200, deadline=None)
+def test_reused_graph_sets_decide_as_fresh_ones(seed):
+    # a new policy over the very same graphs takes the old store's ancestor
+    # and rights sets, and decides exactly as a store compiled from scratch
+    rng = random.Random(seed)
+    store = random_store(rng)
+    rules = list(store.policy.rules)
+    rng.shuffle(rules)
+    policy = PolicyDocument(rules=tuple(rules[: rng.randint(0, len(rules))]))
+    args = (policy, store.graphs, store.purposes, store.trusted_soas)
+    reused = activate_store(*args, version=2, previous=store)
+    fresh = activate_store(*args, version=2)
+    assert reused.compiled.ancestors is store.compiled.ancestors
+    assert reused.compiled.rights is store.compiled.rights
+    assert (reused.compiled.ancestors, reused.compiled.rights) == (fresh.compiled.ancestors, fresh.compiled.rights)
+    for _ in range(4):
+        request = random_request_for(rng, store)
+        assert decide(reused, request) == decide(fresh, request)
+
+
+def test_new_graphs_are_compiled_afresh(monkeypatch):
+    rng = random.Random(5)
+    store = random_store(rng)
+    other = random_store(rng)
+    compiled = []
+    monkeypatch.setattr(pdp, "ancestor_sets", lambda graph: compiled.append(graph.kind) or ancestor_sets(graph))
+    graphs = {**store.graphs, "OO": other.graphs["OO"]}
+    activate_store(PolicyDocument(rules=()), graphs, store.purposes, store.trusted_soas, previous=store)
+    assert compiled == ["SO", "OO", "AO"]
+
+
+# --- audit line ---------------------------------------------------------------
+
+# every kind of character json.dumps escapes, and lone surrogates besides
+NASTY = st.text(alphabet=st.sampled_from(list('a "\\/\x00\x07\x1f\x7f\n\t\r\b\féд\u2028\U0001f600\ud800\udfff')), max_size=12)
+ANY_TEXT = st.one_of(NASTY, st.text(alphabet=st.characters(exclude_categories=()), max_size=12))
+FIELD = st.one_of(st.none(), ANY_TEXT)
+
+
+@given(
+    action=FIELD,
+    conflicts=st.lists(ANY_TEXT, max_size=3),
+    decision=st.one_of(st.sampled_from(["Permit", "Deny", "Indeterminate", "NotApplicable", "error"]), ANY_TEXT),
+    latency_ms=st.one_of(
+        st.floats(min_value=0, max_value=1e9, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0, max_value=1e4).map(lambda x: round(x, 3)),
+    ),
+    masked=st.booleans(),
+    matched_rule=FIELD,
+    obj=FIELD,
+    purpose=FIELD,
+    subject=FIELD,
+    ts=ANY_TEXT,
+)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_audit_template_matches_json_dumps(
+    action, conflicts, decision, latency_ms, masked, matched_rule, obj, purpose, subject, ts
+):
+    # the record as the gateway's _audit lays it out
+    record = {"action": action}
+    if conflicts:
+        record["conflicts"] = conflicts
+    record.update(
+        decision=decision, latency_ms=latency_ms, masked=masked, matched_rule=matched_rule,
+        object=obj, purpose=purpose, subject=subject, ts=ts,
+    )
+    assert _audit_line(record) == json.dumps(record) + "\n"
+    # any other layout, such as the benchmark's own records, goes to json.dumps
+    shuffled = dict(reversed(record.items()))
+    assert _audit_line(shuffled) == json.dumps(shuffled) + "\n"
+
+
+FIXED_INSTANTS = [
+    datetime(1970, 1, 1, tzinfo=timezone.utc),
+    datetime(1999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
+    datetime(2000, 2, 29, 12, 0, 0, 1000, tzinfo=timezone.utc),
+    datetime(2026, 10, 19, 15, 31, 32, 123456, tzinfo=timezone.utc),
+    datetime(2038, 1, 19, 3, 14, 8, 999, tzinfo=timezone.utc),
+    datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
+]
+
+
+@given(
+    instant=st.one_of(
+        st.sampled_from(FIXED_INSTANTS),
+        st.datetimes(min_value=datetime(1970, 1, 1), max_value=datetime(9999, 12, 31), timezones=st.just(timezone.utc)),
+    ),
+    extra_ns=st.integers(min_value=0, max_value=999),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_timestamp_matches_isoformat(instant, extra_ns):
+    # the nanoseconds below the microsecond never round the milliseconds up
+    ns = calendar.timegm(instant.utctimetuple()) * 10**9 + instant.microsecond * 1000 + extra_ns
+    assert _timestamp(ns) == instant.isoformat(timespec="milliseconds")

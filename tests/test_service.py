@@ -1,21 +1,32 @@
 """Gateway end-to-end: proxying, decision endpoint, admin reloads, audit."""
 
+import gc
 import json
+import logging
+import random
 import re
+import shutil
 import socket
 import statistics
+import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
 
 from conftest import EHEALTH, GOLDEN, write_gateway_conf
+from randgen import random_request_for
+from sacpdp import pdp, service
+from sacpdp.bundle import build_store, load_bundle
 from sacpdp.errors import ConfigError
-from sacpdp.ontology import load_ontology, serialize_ontology
-from sacpdp import service
-from sacpdp.service import Gateway, _parse_context_header, load_gateway_config
-from sacpdp.xmlio import parse_xacml_response
+from sacpdp.ontology import ancestor_sets, load_ontology, serialize_ontology
+from sacpdp.registry import build_access_request
+from sacpdp.service import ClientConnection, Gateway, _parse_context_header, load_gateway_config
+from sacpdp.xmlio import parse_xacml_request, parse_xacml_response
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def read_audit(path):
@@ -64,6 +75,10 @@ class KeepAlive:
 
     def exchange(self, request: bytes) -> tuple[int, dict, bytes]:
         self.sock.sendall(request)
+        return self.read()
+
+    def read(self) -> tuple[int, dict, bytes]:
+        """The next response."""
         status = int(self.reader.readline().split()[1])
         headers = {}
         while (line := self.reader.readline()) not in (b"\r\n", b""):
@@ -648,6 +663,46 @@ class TestAdminReload:
         assert r.status_code == 422
         assert "treat" in r.text
 
+    def test_policy_only_swaps_keep_graph_sets(self, gateway, monkeypatch):
+        # the SO, OO and AO sets follow from those graphs alone
+        gw, _, _, _ = gateway
+        compiled = []
+        monkeypatch.setattr(pdp, "ancestor_sets", lambda graph: compiled.append(graph.kind) or ancestor_sets(graph))
+        for slot, document in (
+            ("policy", "ehealth_policy.xml"),
+            ("purposes", "ehealth_purposes.xml"),
+            ("registry", "ehealth_registry.xml"),
+            ("AtO", "ehealth_ato.xml"),
+        ):
+            gw.admin_load(slot, (EHEALTH / document).read_text(encoding="utf-8"))
+        assert compiled == []
+        gw.admin_load("SO", (EHEALTH / "ehealth_so.xml").read_text(encoding="utf-8"))
+        assert compiled == ["SO", "OO", "AO"]
+        assert gw.version == 6
+
+    def test_policy_swap_decides_as_a_fresh_store(self, gateway, tmp_path):
+        gw, _, _, _ = gateway
+        policy = (EHEALTH / "ehealth_policy.xml").read_text(encoding="utf-8")
+        policy = policy.replace('Priority="9" Public="false"', 'Priority="1" Public="true"')
+        gw.admin_load("policy", policy)
+        bundle = tmp_path / "bundle"
+        shutil.copytree(EHEALTH, bundle)
+        (bundle / "ehealth_policy.xml").write_text(policy, encoding="utf-8")
+        fresh, kb = build_store(load_bundle(bundle))
+        swapped, _ = gw.snapshot()
+        rng = random.Random(11)
+        requests_ = [
+            build_access_request(parse_xacml_request(path.read_bytes()), kb, fresh)[0]
+            for path in sorted((EHEALTH / "requests").glob("*.xml"))
+        ]
+        requests_ += [random_request_for(rng, fresh) for _ in range(300)]
+        for request in requests_:
+            got, want = pdp.decide(swapped, request), pdp.decide(fresh, request)
+            assert got.explanation[0] == "store version 2"
+            assert (got.value, got.granted_right, got.matched_rule, got.masked, got.explanation[1:]) == (
+                want.value, want.granted_right, want.matched_rule, want.masked, want.explanation[1:]
+            )
+
     def test_unknown_slot_404(self, gateway):
         _, base, _, _ = gateway
         r = requests.put(f"{base}/admin/wardrobe", data=b"x", timeout=10)
@@ -762,6 +817,22 @@ class TestRequestHead:
         assert int(status_line.split()[1]) == status
         assert ("Connection", "close") in fields
         assert read_audit(audit_path) == []  # refused before any endpoint saw it
+        assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
+
+    def test_bare_lf_head_answered_at_once(self, gateway):
+        # a head whose lines end in LF alone never holds CRLFCRLF: it gets
+        # its 400 without waiting for the client to close
+        gw, base, _, audit_path = gateway
+        with socket.create_connection(("127.0.0.1", gw.bound_port), timeout=1) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\nHost: gw\n\n")
+            reply = b""
+            while chunk := sock.recv(65536):  # a timeout after 1 s fails the test
+                reply += chunk
+        status_line, fields, body = split_response(reply)
+        assert status_line == "HTTP/1.1 400 Bad Request"
+        assert ("Connection", "close") in fields
+        assert body == b"request head lines must end in CRLF\n"
+        assert read_audit(audit_path) == []
         assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
 
     @pytest.mark.parametrize(
@@ -980,6 +1051,15 @@ class TestExits:
         assert stub.hit_count == 0
         assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
 
+    def test_unsplittable_target_500_audited_once(self, gateway):
+        # urlsplit rejects the target: the request still leaves through the one exit
+        gw, base, _, audit_path = gateway
+        status_line, fields, _ = split_response(raw_exchange(gw.bound_port, b"GET //[x/proxy HTTP/1.1\r\n\r\n"))
+        assert status_line == "HTTP/1.1 500 Internal Server Error"
+        assert ("Connection", "close") in fields
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
+        assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
+
     @pytest.mark.parametrize(
         "request_bytes",
         [
@@ -996,3 +1076,164 @@ class TestExits:
         assert ("Connection", "close") in fields
         assert stub.hit_count == 0
         assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
+
+
+# A decide, a proxy Permit, a proxy refusal, a health probe, a decide that
+# waits for 100 Continue, and a bad Content-Length that ends the connection.
+MIXED_PIPELINE = (
+    DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY
+    + permit_request()
+    + b"GET /proxy/records/jen?purpose=treat HTTP/1.1\r\nX-Subject: joan\r\n"
+    b"X-Context: years_of_service=2; type=int\r\n\r\n"
+    + b"GET /healthz HTTP/1.1\r\nHost: gw\r\n\r\n"
+    + f"{DECIDE_HEAD}Expect: 100-continue\r\n\r\n".encode() + DECIDE_BODY
+    + b"POST /pdp/decide HTTP/1.1\r\nHost: gw\r\nContent-Length: 1x\r\n\r\n"
+)
+
+
+def framed(reply: bytes) -> list[tuple[int, bytes]]:
+    """Status and body of every response in a raw exchange, framed by
+    Content-Length."""
+    out = []
+    while reply:
+        head, _, reply = reply.partition(b"\r\n\r\n")
+        length = re.search(rb"^Content-Length: (\d+)\r?$", head, re.M)
+        body, reply = reply[: int(length[1]) if length else 0], reply[int(length[1]) if length else 0 :]
+        out.append((int(head.split(b" ")[1]), body))
+    return out
+
+
+class TestFraming:
+    UPSTREAM = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nok"
+
+    def test_split_delivery_answers_as_whole(self, gateway_for):
+        # however the bytes are cut into segments, the answers and the audit
+        # records are those of the pipeline sent in one write
+        gw, _, _, audit_path = gateway_for(raw=self.UPSTREAM)
+        data = MIXED_PIPELINE
+        rng = random.Random(16)
+        runs = []
+        for cuts in [[]] + [sorted(rng.sample(range(1, len(data)), rng.randint(1, 40))) for _ in range(6)]:
+            with socket.create_connection(("127.0.0.1", gw.bound_port), timeout=5) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for start, end in zip([0] + cuts, cuts + [len(data)]):
+                    sock.sendall(data[start:end])
+                    time.sleep(0.002)
+                reply = sock.makefile("rb").read()
+            runs.append((reply, [record["decision"] for record in read_audit(audit_path)[5 * len(runs) :]]))
+        reply, decisions = runs[0]
+        assert [status for status, _ in framed(reply)] == [200, 200, 403, 200, 100, 200, 400]
+        assert decisions == ["Permit", "Permit", "Deny", "Permit", "error"]
+        assert runs == [runs[0]] * len(runs)
+
+    def test_2000_pipelined_decides_answered_in_order(self, gateway):
+        # far more than the input and write buffers hold: reading pauses
+        # until the client reads, and nothing is lost or reordered
+        gw, _, _, audit_path = gateway
+        bodies = [(EHEALTH / "requests" / name).read_bytes() for name in ("01_doctor_reads_record.xml", "02_too_few_years.xml")]
+        data = b"".join(
+            f"POST /pdp/decide HTTP/1.1\r\nContent-Length: {len(bodies[i % 2])}\r\n\r\n".encode() + bodies[i % 2]
+            for i in range(2000)
+        )
+        with KeepAlive(gw.bound_port, timeout=20) as client:
+            sender = threading.Thread(target=client.sock.sendall, args=(data,), daemon=True)
+            sender.start()
+            sender.join(timeout=5)  # the kernel buffers let the whole pipeline go before any read
+            answers = [client.read() for _ in range(2000)]
+            sender.join(timeout=5)
+            assert not sender.is_alive()
+        assert [status for status, _, _ in answers] == [200] * 2000
+        assert [headers["x-decision"] for _, headers, _ in answers] == ["Permit", "Deny"] * 1000
+        assert len(read_audit(audit_path)) == 2000
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["fin", "rst"])
+    def test_client_gone_during_forward_logs_nothing(self, gateway_for, caplog, reset):
+        gw, base, stub, audit_path = gateway_for(delay=0.4)
+        with caplog.at_level(logging.WARNING):
+            sock = socket.create_connection(("127.0.0.1", gw.bound_port), timeout=5)
+            sock.sendall(permit_request())
+            deadline = time.monotonic() + 5
+            while stub.hit_count < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if reset:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            time.sleep(0.8)  # the forward ends meanwhile
+            gc.collect()  # an unretrieved task exception is logged when the task goes
+            assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
+        assert [record.getMessage() for record in caplog.records if record.levelno >= logging.WARNING] == []
+        assert [record["decision"] for record in read_audit(audit_path)] == ["Permit"]
+        assert stub.hit_count == 1
+
+
+class DiscardingTransport:
+    """Keeps what is written and whether reading is paused."""
+
+    def __init__(self):
+        self.written = []
+        self.reading = True
+
+    def write(self, data: bytes) -> None:
+        self.written.append(data)
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def close(self) -> None:
+        pass
+
+
+def test_full_write_buffer_holds_requests_and_input(tmp_path):
+    # while the transport's write buffer is full no request is answered, and
+    # the input pauses once more than 2 x HEAD_LIMIT bytes wait in the buffer
+    gw = Gateway(load_gateway_config(write_gateway_conf(tmp_path, 9)))
+    transport = DiscardingTransport()
+    connection = ClientConnection(gw)
+    connection.connection_made(transport)
+    request = DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY
+    connection.pause_writing()
+    held = 2 * service.HEAD_LIMIT // len(request)
+    try:
+        for _ in range(held):
+            connection.data_received(request)
+        assert (transport.written, transport.reading) == ([], True)
+        connection.data_received(request)
+        assert (transport.written, transport.reading) == ([], False)
+        connection.resume_writing()
+    finally:
+        gw.stop()
+    assert transport.reading
+    assert [statuses(data) for data in transport.written] == [[200]] * (held + 1)
+    assert len(read_audit(tmp_path / "audit.jsonl")) == held + 1
+
+
+def test_requests_leave_no_cyclic_garbage(tmp_path, monkeypatch):
+    # every object a decide or a refusal builds is freed by reference
+    # counting alone, so no request leaves work for the cyclic collector
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    pool = [item.data for item in workloads.prepare("ehealth-decide", 7, tmp_path).items]
+    proxy = workloads.prepare("ehealth-proxy", 7, tmp_path)
+    refusals = [
+        item.data for index, item in enumerate(proxy.items) if proxy.expected(index, 0).value is not pdp.DecisionValue.PERMIT
+    ]
+    gw = Gateway(load_gateway_config(write_gateway_conf(tmp_path, 9)))
+    transport = DiscardingTransport()
+    connection = ClientConnection(gw)
+    connection.connection_made(transport)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for data in pool + refusals:
+                connection.data_received(data)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+        gw.stop()
+    assert garbage == 0
+    assert [statuses(data)[0] for data in transport.written] == ([200] * len(pool) + [403] * len(refusals)) * 10
