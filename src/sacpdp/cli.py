@@ -4,7 +4,7 @@ Exit codes
   validate   0 valid, 1 findings reported, 2 unreadable config or documents
   decide     0 Permit, 3 Deny, 4 NotApplicable, 5 Indeterminate, 2 bad input
   oracle     0 engine and oracle agree, 1 mismatch found, 2 bad input
-  serve      2 bad config, otherwise runs until interrupted
+  serve      2 bad config, otherwise 0 once SIGTERM or Ctrl-C stops it
 
 Results go to stdout, diagnostics to stderr.  The SACPDP_CONFIG environment
 variable, when set, overrides the config path argument of every command.

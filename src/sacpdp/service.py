@@ -8,19 +8,22 @@ and the swap is atomic, so concurrent decisions always see one consistent
 store version.
 
 One asyncio event loop serves every client connection and every upstream
-exchange.  Each client connection is one ``asyncio.Protocol``: as bytes
-arrive it frames requests from its own buffer and answers /pdp/decide,
+exchange, and each connection is one ``asyncio.Protocol`` that frames what
+it reads from its own buffer.  A client connection answers /pdp/decide,
 /healthz, /admin/version, every refusal and every 4xx/5xx at once, inside
-``data_received``.  Only a Permit's upstream forward and an admin swap run
-on a task (the swap itself on a worker thread, so decisions keep flowing
-while a large store is rebuilt); the requests behind one wait in the buffer
-until it ends.  Requests on a connection are answered in order, each in one
-write on a TCP_NODELAY socket.  Each client connection forwards its Permits
-on one kept-alive upstream connection.  A request head is at most 64 KiB and
-100 header lines (else 431), HTTP/1.0 or HTTP/1.1 (else 505), with CRLF line
-endings (else 400).  Every request leaves through one exit: an unexpected
-error is a 500 with one ``error`` audit record, and a failed audit write is
-a 503 with nothing forwarded.
+``data_received``.  A Permit is written to the client connection's kept-alive
+upstream connection, and the upstream connection relays the answer from its
+own ``data_received`` once the answer is complete: no task, future or
+coroutine runs for it (only opening an upstream connection runs
+``loop.create_connection`` on a task).  An admin swap runs on a worker
+thread, so decisions keep flowing while a large store is rebuilt, and is
+answered from its future's callback.  The requests behind a forward or a
+swap wait in the buffer, so requests on a connection are answered in order,
+each in one write on a TCP_NODELAY socket.  A request head is at most 64 KiB
+and 100 header lines (else 431), HTTP/1.0 or HTTP/1.1 (else 505), with CRLF
+line endings (else 400).  Every request leaves through one exit: an
+unexpected error is a 500 with one ``error`` audit record, and a failed
+audit write is a 503 with nothing forwarded.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import asyncio
 import json
 import logging
 import re
+import signal
 import socket
 import threading
 import time
@@ -320,104 +324,238 @@ def _end_to_end(headers: Headers, dropped: frozenset) -> list[tuple[str, str]]:
     return [field for field, name in zip(headers.items, headers.names) if name not in dropped and name not in named]
 
 
-class Upstream:
-    """One client connection's kept-alive connection to the upstream, opened
-    on its first exchange and replaced when the upstream drops it."""
+class UpstreamConnection(asyncio.Protocol):
+    """One kept-alive connection from a client connection to the upstream.
 
-    reader: asyncio.StreamReader | None = None
-    writer: asyncio.StreamWriter | None = None
+    It carries one exchange at a time, and frames each answer from its own
+    buffer as bytes arrive.  Once the final answer is complete, inside
+    ``data_received`` or ``eof_received``, it hands the answer to its client
+    connection, which relays it and goes on with the requests behind it; a
+    failed exchange is handed over the same way, from whichever callback
+    saw it fail.  Bytes or an end that arrive while no exchange is in flight
+    mean the upstream closed the connection or broke step: the connection
+    closes at once, so it is never used again."""
 
-    def __init__(self, url: str):
-        parts = urlsplit(url)
-        self.tls = parts.scheme == "https"
-        self.address = (parts.hostname, parts.port or (443 if self.tls else 80))
-        self.path = parts.path
-        self.host = parts.netloc.rpartition("@")[2]
+    transport: asyncio.Transport | None = None
+    # The connect and each exchange must end by ``deadline``.  One timer
+    # serves many exchanges: when it fires before the deadline of the
+    # exchange then in flight, it is set again for that deadline.
+    deadline = 0.0
+    timer: asyncio.TimerHandle | None = None
+    connecting: asyncio.Task | None = None
+    method: str | None = None  # of the exchange in flight; None while idle
+    reused = closed = eof = False
+    # the final answer's head, once it is in: status, headers, whether the
+    # connection can carry another exchange; then how its body is framed
+    head: tuple[int, Headers, bool] | None = None
+    length: int | None = None  # Content-Length; None: chunked, or until the end
+    chunks: list[bytes] | None = None  # chunked: the chunks so far
+    trailer = False  # chunked: the last chunk is in, the trailer fields follow
+
+    def __init__(self, client: ClientConnection, method: str, request: bytes):
+        self.client = client
+        self.buffer = bytearray()
+        self.method, self.request = method, request
+
+    def connect(self, host: str, port: int, tls: bool) -> None:
+        """Opens the connection; the request given at construction goes out
+        once it is made."""
+        loop = asyncio.get_running_loop()
+        self.connecting = loop.create_task(loop.create_connection(lambda: self, host, port, ssl=tls))
+        self.connecting.add_done_callback(self._connected)
+        self._time()
+
+    def send(self, method: str, request: bytes) -> None:
+        """Starts an exchange on the idle connection."""
+        self.method, self.request, self.reused = method, request, True
+        self.transport.write(request)
+        self._time()
+
+    @property
+    def idle(self) -> bool:
+        return self.method is None and not self.closed
 
     def close(self) -> None:
-        if self.writer is not None:
-            self.writer.close()
-            self.reader = self.writer = None
+        """Closes the connection; no exchange on it is answered after this."""
+        self.closed, self.client = True, None
+        if self.timer is not None:
+            self.timer.cancel()
+        if self.connecting is not None:
+            self.connecting.cancel()
+        if self.transport is not None:
+            self.transport.abort()
 
-    async def exchange(self, method, target, body, fields) -> tuple[int, Headers, bytes | None]:
-        """Status, headers and body (None when the answer has none by rule)
-        of one exchange.  A reused connection that fails is closed, and an
-        idempotent request is sent once more on a fresh one."""
-        # StreamReader has no public peek: bytes or an EOF that arrived while
-        # the connection was idle mean the upstream closed it or broke step
-        reader = self.reader
-        if reader is not None and (reader._buffer or reader.at_eof() or reader.exception()):
-            self.close()
-        for retry in (self.writer is not None and method in IDEMPOTENT_METHODS, False):
-            try:
-                return await self._exchange(method, target, body, fields)
-            except (ConnectionError, EOFError, ValueError):
-                if not retry:
-                    raise
+    # -- protocol callbacks --------------------------------------------------
 
-    async def _exchange(self, method, target, body, fields):
-        """One request and its answer; on any failure the connection is
-        closed, so the next exchange opens a fresh one."""
-        try:
-            if self.writer is None:
-                self.reader, self.writer = await asyncio.wait_for(
-                    asyncio.open_connection(*self.address, ssl=self.tls), UPSTREAM_TIMEOUT
-                )
-            lines = [f"{method} {target} HTTP/1.1", f"Host: {self.host}", "Accept-Encoding: identity"]
-            lines += [f"{name}: {value}" for name, value in fields]
-            if body or method in ("POST", "PUT", "PATCH"):
-                lines.append(f"Content-Length: {len(body)}")
-            timer = asyncio.get_running_loop().call_later(UPSTREAM_TIMEOUT, self._expire)
-            try:
-                self.writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-                status, headers, content, reusable = await self._response(method)
-            finally:
-                timer.cancel()
-        except BaseException:
+    def _connected(self, task: asyncio.Task) -> None:
+        self.connecting = None
+        if not task.cancelled() and (exc := task.exception()) is not None and not self.closed:
+            self._failed(exc)
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        if self.closed:  # the client connection went away meanwhile
+            transport.abort()
+            return
+        transport.write(self.request)
+        self._time()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.method is None:  # bytes nobody asked for
             self.close()
-            raise
-        if not reusable:
+        else:
+            self._take_answer()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.method is None:
             self.close()
-        return status, headers, content
+        else:
+            self._take_answer()
+        return False  # the transport closes itself
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.closed:
+            return
+        if self.method is None:
+            self.close()
+        elif exc is not None:
+            self._failed(exc)
+        else:
+            self.eof = True
+            self._take_answer()
+
+    def _time(self) -> None:
+        """Gives the connect or the exchange that starts now UPSTREAM_TIMEOUT
+        seconds."""
+        loop = asyncio.get_running_loop()
+        self.deadline = loop.time() + UPSTREAM_TIMEOUT
+        if self.timer is None or self.timer.when() > self.deadline:
+            if self.timer is not None:
+                self.timer.cancel()
+            self.timer = loop.call_at(self.deadline, self._expire)
 
     def _expire(self) -> None:
-        # the pending read raises this once the aborted connection is lost
-        self.reader.set_exception(TimeoutError(f"no answer within {UPSTREAM_TIMEOUT} s"))
-        self.writer.transport.abort()
+        self.timer = None
+        if self.method is None:  # idle: the timer is set again by the next exchange
+            return
+        if (loop := asyncio.get_running_loop()).time() < self.deadline:
+            self.timer = loop.call_at(self.deadline, self._expire)
+            return
+        self._failed(TimeoutError(f"no answer within {UPSTREAM_TIMEOUT} s"))
 
-    async def _response(self, method: str) -> tuple[int, Headers, bytes | None, bool]:
-        """The final answer, framed by Content-Length, chunked coding or the
-        end of the connection; and whether the connection can carry another."""
-        reader, status = self.reader, 100
-        while status < 200:  # interim 1xx answers precede the final one
-            status_line, *lines = (await reader.readuntil(b"\r\n\r\n"))[:-4].decode("latin-1").split("\r\n")
+    # -- answers -------------------------------------------------------------
+
+    def _take_answer(self) -> None:
+        """Hands the final answer to the client connection once the buffer
+        holds all of it, or the failure met framing it."""
+        try:
+            if (answer := self._frame()) is None:
+                return
+        except Exception as exc:  # ValueError, EOFError, or a fault that the one exit answers
+            self._failed(exc)
+            return
+        status, headers, content, reusable = answer
+        client = self.client
+        self.method = self.head = self.chunks = None
+        self.trailer = False
+        if not reusable or self.buffer:  # bytes past the answer put the connection out of step
+            self.close()
+        client._relay(status, headers, content)
+
+    def _failed(self, exc: Exception) -> None:
+        """Hands the failure of the exchange in flight to the client
+        connection, which may send it once more on a fresh connection."""
+        client, method, request, reused = self.client, self.method, self.request, self.reused
+        self.close()
+        if reused and method in IDEMPOTENT_METHODS and isinstance(exc, (ConnectionError, EOFError, ValueError)):
+            client._connect(method, request)
+        else:
+            client._unreachable(exc)
+
+    def _frame(self) -> tuple[int, Headers, bytes | None, bool] | None:
+        """The final answer once the buffer holds all of it: status, headers,
+        body (None when the answer has none by rule), and whether the
+        connection can carry another exchange.  None while bytes are due;
+        raises ValueError for a malformed answer and EOFError for one that
+        the end of the connection cut short."""
+        buffer = self.buffer
+        while self.head is None:  # interim 1xx answers precede the final one
+            if (end := self._line_end(b"\r\n\r\n")) < 0:
+                return None
+            status_line, *lines = buffer[:end].decode("latin-1").split("\r\n")
+            del buffer[: end + 4]
             if (match := _STATUS_LINE.fullmatch(status_line)) is None:
                 raise ValueError(f"bad upstream status line {status_line!r}")
             status, headers = int(match[2]), Headers(lines)
-        connection = headers.tokens("connection")
-        reusable = "close" not in connection and (match[1] != "0" or "keep-alive" in connection)
-        if method == "HEAD" or status in (204, 304):
-            return status, headers, None, reusable
-        if (codings := headers.tokens("transfer-encoding")) and codings[-1] == "chunked":
-            return status, headers, await self._chunked(), reusable
-        if codings or (length := _content_length(headers)) is None:
-            return status, headers, await reader.read(), False
-        return status, headers, await reader.readexactly(length), reusable
+            if status < 200:
+                continue
+            connection = headers.tokens("connection")
+            reusable = "close" not in connection and (match[1] != "0" or "keep-alive" in connection)
+            if self.method == "HEAD" or status in (204, 304):
+                return status, headers, None, reusable
+            if (codings := headers.tokens("transfer-encoding")) and codings[-1] == "chunked":
+                self.chunks = []
+            elif codings or (length := _content_length(headers)) is None:
+                self.length, reusable = None, False  # the body ends with the connection
+            else:
+                self.length = length
+            self.head = (status, headers, reusable)
+        status, headers, reusable = self.head
+        if self.chunks is not None:
+            content = self._chunked()
+        elif self.length is None:
+            content = bytes(buffer) if self.eof else None
+            if content is not None:
+                buffer.clear()
+        elif len(buffer) >= self.length:
+            content = bytes(buffer[: self.length])
+            del buffer[: self.length]
+        elif self.eof:
+            raise asyncio.IncompleteReadError(bytes(buffer), self.length)
+        else:
+            content = None
+        return None if content is None else (status, headers, content, reusable)
 
-    async def _chunked(self) -> bytes:
-        reader, chunks = self.reader, []
-        while True:
-            size = (await reader.readuntil(b"\r\n")).partition(b";")[0].strip()
+    def _chunked(self) -> bytes | None:
+        """A chunked body once it is all in, trailer fields dropped."""
+        buffer, chunks = self.buffer, self.chunks
+        while not self.trailer:
+            if (end := self._line_end(b"\r\n")) < 0:
+                return None
+            size = bytes(buffer[:end]).partition(b";")[0].strip()
             if not size or size.strip(b"0123456789abcdefABCDEF"):
                 raise ValueError(f"bad chunk size {size!r}")
             if not (length := int(size, 16)):
-                break
-            chunks.append(await reader.readexactly(length))
-            if await reader.readexactly(2) != b"\r\n":
+                del buffer[: end + 2]
+                self.trailer = True
+            elif len(buffer) < end + length + 4:
+                if self.eof:
+                    raise asyncio.IncompleteReadError(bytes(buffer[end + 2 :]), length + 2)
+                return None
+            elif buffer[end + length + 2 : end + length + 4] != b"\r\n":
                 raise ValueError("chunk data not followed by CRLF")
-        while await reader.readuntil(b"\r\n") != b"\r\n":
-            pass  # trailer fields are not relayed
-        return b"".join(chunks)
+            else:
+                chunks.append(bytes(buffer[end + 2 : end + length + 2]))
+                del buffer[: end + length + 4]
+        while (end := self._line_end(b"\r\n")) >= 0:
+            del buffer[: end + 2]
+            if not end:  # the empty line after the trailer fields
+                return b"".join(chunks)
+        return None
+
+    def _line_end(self, separator: bytes) -> int:
+        """Where ``separator`` first starts in the buffer; -1 while it has not
+        arrived.  A line or head over HEAD_LIMIT bytes raises ValueError, and
+        the end of the connection before the separator EOFError."""
+        buffer = self.buffer
+        end = buffer.find(separator)
+        if end > HEAD_LIMIT or end < 0 and len(buffer) - len(separator) >= HEAD_LIMIT:
+            raise ValueError(f"upstream answer line or head over {HEAD_LIMIT} bytes")
+        if end < 0 and self.eof:
+            raise asyncio.IncompleteReadError(bytes(buffer), None)
+        return end
 
 
 class Gateway:
@@ -434,6 +572,11 @@ class Gateway:
         if config.audit_log is not None:
             config.audit_log.parent.mkdir(parents=True, exist_ok=True)
             self._audit_handle = open(config.audit_log, "a", encoding="utf-8")
+        parts = urlsplit(config.upstream)
+        tls = parts.scheme == "https"
+        self.upstream_address = (parts.hostname, parts.port or (443 if tls else 80), tls)
+        self.upstream_path = parts.path
+        self.upstream_host = parts.netloc.rpartition("@")[2]
         self._listener: socket.socket | None = None
         self._connections: set[ClientConnection] = set()
         self._thread: threading.Thread | None = None
@@ -503,7 +646,7 @@ class Gateway:
 
     def stop(self) -> None:
         if self._thread is not None:
-            self._stopping.set_result(None)
+            self._stop_serving()
             self._thread.join(timeout=5)
             self._thread = None
         if self._listener is not None:
@@ -514,17 +657,27 @@ class Gateway:
             self._audit_handle = None
 
     def serve_forever(self) -> None:
-        """Foreground variant used by the command line."""
-        asyncio.run(self._serve(self._bind()))
+        """Foreground variant used by the command line, on the main thread:
+        it serves until SIGTERM or Ctrl-C."""
+        try:
+            asyncio.run(self._serve(self._bind()))
+        finally:
+            self.stop()
+
+    def _stop_serving(self) -> None:
+        if not self._stopping.done():
+            self._stopping.set_result(None)
 
     async def _serve(self, listener: socket.socket) -> None:
         loop = asyncio.get_running_loop()
+        if threading.current_thread() is threading.main_thread():
+            loop.add_signal_handler(signal.SIGTERM, self._stop_serving)
         async with await loop.create_server(lambda: ClientConnection(self), sock=listener):
             await asyncio.wrap_future(self._stopping)
         for connection in list(self._connections):
             connection.transport.close()
-        await asyncio.sleep(0)  # their connection_lost callbacks run
-        # asyncio.run then cancels the forwards and swaps in flight and joins the worker threads
+        await asyncio.sleep(0)  # their connection_lost callbacks run and close their upstream connections
+        # asyncio.run then joins the worker threads of the swaps in flight
 
 
 class ClientConnection(asyncio.Protocol):
@@ -532,12 +685,15 @@ class ClientConnection(asyncio.Protocol):
     upstream connection.
 
     ``data_received`` frames each request from the connection's own buffer
-    and answers it at once.  Only a Permit's forward and an admin swap run on
-    a task, and the requests behind one wait in the buffer until it ends.
-    Request handling stops while the transport's write buffer is full, and
-    the input is paused while the buffer holds more than 2 × HEAD_LIMIT bytes
-    that cannot be answered yet.  The attributes set in _take_request
-    describe the request being answered."""
+    and answers it at once.  A Permit's forward and an admin swap are
+    answered later, from a callback: the upstream connection's once the
+    upstream has answered (``_relay``, ``_unreachable``), the swap's worker
+    thread's once it is done (``_swapped``).  Meanwhile the connection is
+    ``busy``, and the requests behind wait in the buffer.  Request handling
+    stops while the transport's write buffer is full, and the input is
+    paused while the buffer holds more than 2 × HEAD_LIMIT bytes that cannot
+    be answered yet.  The attributes set in _take_request describe the
+    request being answered."""
 
     method = target = ""
     headers: Headers
@@ -546,14 +702,14 @@ class ClientConnection(asyncio.Protocol):
     close = audited = False
     started = 0.0
     transport: asyncio.Transport
-    task: asyncio.Task | None = None  # answers the current request, when one does
+    busy = False  # the current request is answered from a callback
+    upstream: UpstreamConnection | None = None
     pending: tuple[int, int] | None = None  # body offset and length of a head taken
     eof = ended = reading_paused = False
     writable = True
 
     def __init__(self, gateway: Gateway):
         self.gateway = gateway
-        self.upstream = Upstream(gateway.config.upstream)
         self.buffer = bytearray()
 
     # -- protocol callbacks --------------------------------------------------
@@ -565,7 +721,7 @@ class ClientConnection(asyncio.Protocol):
     def connection_lost(self, exc: Exception | None) -> None:
         self.ended = True
         self.gateway._connections.discard(self)
-        if self.task is None:  # else the task closes it when it ends
+        if self.upstream is not None:
             self.upstream.close()
 
     def data_received(self, data: bytes) -> None:
@@ -587,10 +743,10 @@ class ClientConnection(asyncio.Protocol):
     # -- framing -------------------------------------------------------------
 
     def _serve(self) -> None:
-        """Answers the buffered requests in order until one runs on a task,
-        the write buffer fills, the connection is to close, or the next
-        request's bytes have not all arrived."""
-        while self.task is None and self.writable and not self.ended:
+        """Answers the buffered requests in order until one is answered from
+        a callback, the write buffer fills, the connection is to close, or
+        the next request's bytes have not all arrived."""
+        while not self.busy and self.writable and not self.ended:
             try:
                 if not self._take_request():
                     if self.eof:  # a head cut short by the client's end is not answered
@@ -602,11 +758,11 @@ class ClientConnection(asyncio.Protocol):
                 self._end()
                 break
             self._answer()
-            if self.close and self.task is None:
+            if self.close and not self.busy:
                 self._end()
         if self.ended:
             return
-        if (self.task is not None or not self.writable) and len(self.buffer) > 2 * HEAD_LIMIT:
+        if (self.busy or not self.writable) and len(self.buffer) > 2 * HEAD_LIMIT:
             if not self.reading_paused:
                 self.reading_paused = True
                 self.transport.pause_reading()
@@ -663,11 +819,17 @@ class ClientConnection(asyncio.Protocol):
     # -- exits ---------------------------------------------------------------
 
     def _answer(self) -> None:
-        """Routes one request.  This, or _finish for a request answered on a
-        task, is its only exit: whatever an endpoint raises becomes one answer."""
+        """Routes one request.  This, or the callback that answers it later,
+        is its only exit: whatever an endpoint raises becomes one answer."""
         self.started, self.audited = time.monotonic(), False
         try:
-            parts = urlsplit(self.target)
+            try:
+                parts = urlsplit(self.target)
+            except ValueError as exc:  # an unclosed "[", say: the client's error
+                self.close = True
+                self._audit(None, None, None, None)
+                self._send(400, f"bad request target {self.target!r}: {exc}\n".encode())
+                return
             if self.method not in METHODS:
                 self._send(501, f"method {self.method} is not supported\n".encode())
             elif parts.path == "/pdp/decide" and self.method == "POST":
@@ -679,19 +841,10 @@ class ClientConnection(asyncio.Protocol):
         except Exception as exc:
             self._fail(exc)
 
-    def _spawn(self, answer) -> None:
-        """Finishes the current request on a task running ``answer``."""
-        self.task = asyncio.get_running_loop().create_task(self._finish(answer))
-
-    async def _finish(self, answer) -> None:
-        try:
-            await answer
-        except Exception as exc:
-            self._fail(exc)
-        self.task = None
-        if self.ended:  # the client went away meanwhile
-            self.upstream.close()
-        elif self.close:
+    def _resume(self) -> None:
+        """Goes on with the requests behind one answered from a callback."""
+        self.busy = False
+        if self.close and not self.ended:
             self._end()
         else:
             self._serve()
@@ -767,17 +920,19 @@ class ClientConnection(asyncio.Protocol):
         except UnicodeDecodeError:
             self._send(400, b"body is not valid UTF-8\n")
             return
-        self._spawn(self._swap(slot, text))
+        # a large store takes long to rebuild; decisions go on meanwhile
+        self.busy = True
+        swap = asyncio.get_running_loop().run_in_executor(None, self.gateway.admin_load, slot, text)
+        swap.add_done_callback(self._swapped)
 
-    async def _swap(self, slot: str, text: str) -> None:
+    def _swapped(self, swap: asyncio.Future) -> None:
         try:
-            # a large store takes long to rebuild; decisions go on meanwhile
-            version = await asyncio.to_thread(self.gateway.admin_load, slot, text)
+            self._send_version(swap.result())
         except ActivationError as exc:
-            report = "\n".join(exc.findings) + "\n"
-            self._send(422, report.encode())
-            return
-        self._send_version(version)
+            self._send(422, ("\n".join(exc.findings) + "\n").encode())
+        except Exception as exc:
+            self._fail(exc)
+        self._resume()
 
     def _pdp_decide(self) -> None:
         store, kb = self.gateway.snapshot()
@@ -802,7 +957,7 @@ class ClientConnection(asyncio.Protocol):
 
     def _proxy(self, method: str, parts) -> None:
         """Decides a /proxy request; a refusal is answered here, and a
-        Permit's forward runs on a task."""
+        Permit is forwarded."""
         store, kb = self.gateway.snapshot()
         object_id = parts.path[len("/proxy/") :] if parts.path.startswith("/proxy/") else ""
         query = parse_qs(parts.query)
@@ -860,19 +1015,50 @@ class ClientConnection(asyncio.Protocol):
             return
 
         # the target is the decided object id as received, never re-normalised
-        target = f"{self.upstream.path}/{object_id}"
+        target = f"{self.gateway.upstream_path}/{object_id}"
         if parts.query:
             target += f"?{parts.query}"
-        self._spawn(self._forward(method, target, body, _end_to_end(self.headers, NOT_FORWARDED)))
+        self._forward(method, target, body, _end_to_end(self.headers, NOT_FORWARDED))
 
-    async def _forward(self, method: str, target: str, body: bytes, fields: list) -> None:
+    # -- forwards ------------------------------------------------------------
+
+    def _forward(self, method: str, target: str, body: bytes, fields: list) -> None:
+        """Sends a Permitted request upstream, on the kept-alive connection
+        when it is idle, else on a fresh one; the upstream connection answers
+        it through _relay or _unreachable."""
+        lines = [f"{method} {target} HTTP/1.1", f"Host: {self.gateway.upstream_host}", "Accept-Encoding: identity"]
+        lines += [f"{name}: {value}" for name, value in fields]
+        if body or method in ("POST", "PUT", "PATCH"):
+            lines.append(f"Content-Length: {len(body)}")
+        request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+        self.busy = True
+        if self.upstream is not None and self.upstream.idle:
+            self.upstream.send(method, request)
+        else:
+            self._connect(method, request)
+
+    def _connect(self, method: str, request: bytes) -> None:
+        self.upstream = UpstreamConnection(self, method, request)
+        self.upstream.connect(*self.gateway.upstream_address)
+
+    def _relay(self, status: int, headers: Headers, content: bytes | None) -> None:
+        """Answers the forwarded Permit with the upstream's answer."""
         try:
-            status, headers, content = await self.upstream.exchange(method, target, body, fields)
-        except (OSError, EOFError, ValueError, asyncio.LimitOverrunError, asyncio.TimeoutError) as exc:
-            self._send(502, f"upstream unreachable: {exc}\n".encode(), extra=[("X-Decision", "Permit")])
-            return
-        relayed = _end_to_end(headers, NOT_RELAYED) + [("X-Decision", "Permit")]
-        self._send(status, content, None, relayed)
+            self._send(status, content, None, _end_to_end(headers, NOT_RELAYED) + [("X-Decision", "Permit")])
+        except Exception as exc:
+            self._fail(exc)
+        self._resume()
+
+    def _unreachable(self, exc: Exception) -> None:
+        """Answers the forwarded Permit whose exchange failed with ``exc``."""
+        try:
+            if isinstance(exc, (OSError, EOFError, ValueError)):
+                self._send(502, f"upstream unreachable: {exc}\n".encode(), extra=[("X-Decision", "Permit")])
+            else:
+                self._fail(exc)
+        except Exception as error:
+            self._fail(error)
+        self._resume()
 
     # -- audit records -------------------------------------------------------
 

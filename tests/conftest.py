@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -48,8 +50,13 @@ class StubUpstream:
     arrives on a connection already used is counted and then dropped
     unanswered.  ``status``, ``content_type`` (None for none) and the
     ``(name, value)`` pairs in ``headers`` shape the answer; ``delay`` seconds
-    pass before it; ``raw`` bytes replace it, and the connection closes
-    after them."""
+    pass before it (a tuple: ``delay[i]`` before the answer to hit ``i``);
+    ``raw`` bytes replace it, and the connection closes after them.  With
+    ``split``, raw bytes go out in pieces of 1 and 3 bytes on a TCP_NODELAY
+    socket, a millisecond apart.  ``first_answer`` bytes answer the stub's
+    first request, on a connection that stays open; ``unsolicited`` bytes
+    follow each normal answer 50 ms later, and ``unsolicited_sent`` is set
+    once they went out."""
 
     def __init__(
         self,
@@ -59,13 +66,17 @@ class StubUpstream:
         status: int = 200,
         content_type: str | None = "application/json",
         headers: tuple = (),
-        delay: float = 0,
+        delay: float | tuple = 0,
         raw: bytes | None = None,
+        split: bool = False,
+        first_answer: bytes | None = None,
+        unsolicited: bytes | None = None,
     ):
         self.hits = []
         self.connections = 0
         self.closed = 0
         self.lock = threading.Lock()
+        self.unsolicited_sent = threading.Event()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -77,6 +88,8 @@ class StubUpstream:
 
             def setup(self):
                 super().setup()
+                if split:
+                    self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 with stub.lock:
                     stub.connections += 1
 
@@ -85,15 +98,31 @@ class StubUpstream:
                 with stub.lock:
                     stub.closed += 1
 
+            def _write_raw(self, data: bytes):
+                if not split:
+                    self.wfile.write(data)
+                    return
+                start = 0
+                for size in itertools.cycle((1, 3)):
+                    if start >= len(data):
+                        break
+                    self.wfile.write(data[start : start + size])
+                    start += size
+                    time.sleep(0.001)
+
             def _answer(self):
                 length = int(self.headers.get("Content-Length") or 0)
                 body_in = self.rfile.read(length) if length else b""
                 with stub.lock:
                     stub.hits.append((self.command, self.path, body_in, self.headers))
+                    hit = len(stub.hits) - 1
                 self.served += 1
-                time.sleep(delay)
+                time.sleep(delay[hit] if isinstance(delay, tuple) else delay)
+                if hit == 0 and first_answer is not None:
+                    self._write_raw(first_answer)
+                    return
                 if drop_reused and self.served > 1 or raw is not None:
-                    self.wfile.write(raw or b"")
+                    self._write_raw(raw or b"")
                     self.close_connection = True
                     return
                 body = json.dumps({"upstream": True, "path": self.path}).encode()
@@ -109,6 +138,10 @@ class StubUpstream:
                 if self.command != "HEAD":
                     self.wfile.write(body)
                 self.close_connection = self.close_connection or hang_up
+                if unsolicited is not None:
+                    time.sleep(0.05)
+                    self.wfile.write(unsolicited)
+                    stub.unsolicited_sent.set()
 
             do_GET = do_HEAD = do_POST = do_PUT = do_PATCH = do_DELETE = _answer
 

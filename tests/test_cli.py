@@ -1,11 +1,19 @@
 """Command line surface: exit codes, output routing, config override."""
 
 import io
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import sacpdp.pdp
-from conftest import EHEALTH
+from conftest import EHEALTH, write_gateway_conf
 from sacpdp.cli import main
 from sacpdp.ontology import WILDCARD_ID, ConceptRef
 from sacpdp.policy import EMPTY, AccessRule, Atom, Op, PolicyDocument
@@ -200,3 +208,43 @@ class TestServe:
     def test_bad_config(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.conf")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_sigterm_stops_cleanly(self, tmp_path):
+        # SIGTERM ends the gateway as Ctrl-C does: exit code 0, audit log whole
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        conf = write_gateway_conf(tmp_path, upstream_port=9)
+        conf.write_text(conf.read_text().replace("127.0.0.1:0", f"127.0.0.1:{port}"))
+        src = Path(sacpdp.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        gateway = subprocess.Popen(
+            [sys.executable, "-m", "sacpdp.cli", "serve", str(conf)],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        body = (EHEALTH / "requests" / "01_doctor_reads_record.xml").read_bytes()
+        request = f"POST /pdp/decide HTTP/1.1\r\nConnection: close\r\nContent-Length: {len(body)}\r\n\r\n"
+        try:
+            deadline = time.monotonic() + 20
+            while True:
+                assert gateway.poll() is None and time.monotonic() < deadline
+                try:
+                    client = socket.create_connection(("127.0.0.1", port), timeout=5)
+                    break
+                except OSError:
+                    time.sleep(0.02)
+            with client, client.makefile("rb") as reader:
+                client.sendall(b"GET /healthz HTTP/1.1\r\n\r\n" + request.encode() + body)
+                reply = reader.read()  # the gateway closes after the decide
+            assert reply.count(b"HTTP/1.1 200 ") == 2
+            gateway.send_signal(signal.SIGTERM)
+            code = gateway.wait(timeout=5)
+        finally:
+            if gateway.poll() is None:
+                gateway.kill()
+                gateway.wait()
+            stderr = gateway.stderr.read()
+            gateway.stderr.close()
+        assert code == 0, stderr
+        lines = (tmp_path / "audit.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["decision"] for line in lines] == ["Permit"]

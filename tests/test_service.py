@@ -1,5 +1,7 @@
 """Gateway end-to-end: proxying, decision endpoint, admin reloads, audit."""
 
+import asyncio
+import collections
 import gc
 import json
 import logging
@@ -309,6 +311,27 @@ class TestUpstreamConnection:
                 assert client.exchange(permit_request())[0] == 200
         assert (stub.hit_count, stub.connections) == (5, 1)
 
+    def test_permits_on_an_open_connection_schedule_nothing(self, gateway, monkeypatch):
+        # the upstream connection relays each answer from its own data_received:
+        # a Permit on it runs no task, future, callback or timer of its own
+        gw, _, stub, _ = gateway
+        scheduled = collections.Counter()
+        for name in ("create_task", "create_future", "call_soon", "call_at"):
+            original = getattr(asyncio.base_events.BaseEventLoop, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                scheduled[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(asyncio.base_events.BaseEventLoop, name, counted)
+        with KeepAlive(gw.bound_port) as client:
+            assert client.exchange(permit_request())[0] == 200  # the upstream connection opens
+            scheduled.clear()
+            answers = [client.exchange(permit_request())[0] for _ in range(20)]
+            seen = dict(scheduled)
+        assert (answers, seen) == ([200] * 20, {})
+        assert (stub.hit_count, stub.connections) == (21, 1)
+
     def test_upstream_that_closes_gets_one_hit_per_permit(self, gateway_for):
         gw, _, stub, _ = gateway_for(close=True)
         with KeepAlive(gw.bound_port) as client:
@@ -326,6 +349,19 @@ class TestUpstreamConnection:
             while stub.closed < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert client.exchange(permit_request("POST"))[0] == 200
+        assert (stub.hit_count, stub.connections) == (2, 2)
+
+    def test_unsolicited_bytes_on_idle_connection_replace_it(self, gateway_for):
+        # bytes that arrive while no exchange is in flight put the connection
+        # out of step; a POST is never retried, so it must go on a fresh one
+        stale = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nstale"
+        gw, _, stub, _ = gateway_for(unsolicited=stale)
+        with KeepAlive(gw.bound_port) as client:
+            assert client.exchange(permit_request("POST"))[0] == 200
+            assert stub.unsolicited_sent.wait(timeout=5)
+            time.sleep(0.1)  # they reach the gateway
+            status, _, body = client.exchange(permit_request("POST"))
+            assert (status, json.loads(body)["upstream"]) == (200, True)
         assert (stub.hit_count, stub.connections) == (2, 2)
 
     @pytest.mark.parametrize(
@@ -887,6 +923,49 @@ class TestRequestHead:
         assert read_audit(audit_path) == []
 
 
+# Upstream answers framed each way, and the relayed response each must give.
+UPSTREAM_FRAMINGS = [
+    pytest.param(
+        "GET",
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"5;ext=1\r\nhello\r\n7\r\n, world\r\n0\r\nX-Sum: 1\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\nConnection: close\r\n"
+        b"Content-Type: text/plain\r\nX-Decision: Permit\r\n\r\nhello, world",
+        id="chunked",
+    ),
+    pytest.param(
+        "GET",
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nuntil the\r\n\r\nend",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 16\r\nConnection: close\r\n"
+        b"Content-Type: text/plain\r\nX-Decision: Permit\r\n\r\nuntil the\r\n\r\nend",
+        id="close-delimited",
+    ),
+    pytest.param(
+        "HEAD",
+        b'HTTP/1.1 204 No Content\r\nETag: "e"\r\n\r\n',
+        b'HTTP/1.1 204 No Content\r\nConnection: close\r\nETag: "e"\r\n'
+        b"X-Decision: Permit\r\n\r\n",
+        id="head-204",
+    ),
+    pytest.param(
+        "GET",
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n"
+        b"X-Decision: Permit\r\n\r\nok",
+        id="interim-100",
+    ),
+]
+
+# Upstream answers the relay cannot frame: each is a 502.
+MALFORMED_ANSWERS = [
+    pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", id="chunk-size"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhelloXX0\r\n\r\n", id="chunk-end"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc", id="two-lengths"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", id="short-body"),
+    pytest.param(b"SPDY/3 200 OK\r\n\r\n", id="status-line"),
+]
+
+
 class TestRelay:
     def test_end_to_end_headers_relayed(self, gateway_for):
         upstream_headers = (
@@ -908,60 +987,47 @@ class TestRelay:
         assert json.loads(body)["upstream"] is True
         assert stub.hit_count == 1
 
-    @pytest.mark.parametrize(
-        "method, raw, relayed",
-        [
-            (
-                "GET",
-                b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\r\n"
-                b"5;ext=1\r\nhello\r\n7\r\n, world\r\n0\r\nX-Sum: 1\r\n\r\n",
-                b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\nConnection: close\r\n"
-                b"Content-Type: text/plain\r\nX-Decision: Permit\r\n\r\nhello, world",
-            ),
-            (
-                "GET",
-                b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nuntil the\r\n\r\nend",
-                b"HTTP/1.1 200 OK\r\nContent-Length: 16\r\nConnection: close\r\n"
-                b"Content-Type: text/plain\r\nX-Decision: Permit\r\n\r\nuntil the\r\n\r\nend",
-            ),
-            (
-                "HEAD",
-                b'HTTP/1.1 204 No Content\r\nETag: "e"\r\n\r\n',
-                b'HTTP/1.1 204 No Content\r\nConnection: close\r\nETag: "e"\r\n'
-                b"X-Decision: Permit\r\n\r\n",
-            ),
-            (
-                "GET",
-                b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
-                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n"
-                b"X-Decision: Permit\r\n\r\nok",
-            ),
-        ],
-        ids=["chunked", "close-delimited", "head-204", "interim-100"],
-    )
+    @pytest.mark.parametrize("method, raw, relayed", UPSTREAM_FRAMINGS)
     def test_upstream_framing_relayed_byte_exact(self, gateway_for, method, raw, relayed):
         gw, _, stub, _ = gateway_for(raw=raw)
         reply = raw_exchange(gw.bound_port, permit_request(method, extra="Connection: close\r\n"))
         assert reply == relayed
         assert stub.hit_count == 1
 
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
-            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhelloXX0\r\n\r\n",
-            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
-            b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
-            b"SPDY/3 200 OK\r\n\r\n",
-        ],
-        ids=["chunk-size", "chunk-end", "two-lengths", "short-body", "status-line"],
-    )
+    @pytest.mark.parametrize("raw", MALFORMED_ANSWERS)
     def test_malformed_upstream_answer_502(self, gateway_for, raw):
         gw, _, _, audit_path = gateway_for(raw=raw)
         reply = raw_exchange(gw.bound_port, permit_request("POST", extra="Connection: close\r\n"))
         assert statuses(reply) == [502]
         assert b"upstream unreachable" in reply
         assert [record["decision"] for record in read_audit(audit_path)] == ["Permit"]
+
+    @pytest.mark.parametrize("method, raw, relayed", UPSTREAM_FRAMINGS)
+    def test_upstream_answer_in_pieces_relayed_as_whole(self, gateway_for, method, raw, relayed):
+        # the relay frames the answer however the upstream's bytes are cut
+        gw, _, stub, _ = gateway_for(raw=raw, split=True)
+        reply = raw_exchange(gw.bound_port, permit_request(method, extra="Connection: close\r\n"))
+        assert reply == relayed
+        assert stub.hit_count == 1
+
+    @pytest.mark.parametrize("raw", MALFORMED_ANSWERS)
+    def test_malformed_answer_in_pieces_502(self, gateway_for, raw):
+        gw, _, _, audit_path = gateway_for(raw=raw, split=True)
+        reply = raw_exchange(gw.bound_port, permit_request("POST", extra="Connection: close\r\n"))
+        assert statuses(reply) == [502]
+        assert b"upstream unreachable" in reply
+        assert [record["decision"] for record in read_audit(audit_path)] == ["Permit"]
+
+    def test_upstream_head_over_64k_502_then_fresh_connection(self, gateway_for):
+        big = b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * (service.HEAD_LIMIT + 100) + b"\r\nContent-Length: 2\r\n\r\nok"
+        gw, _, stub, _ = gateway_for(first_answer=big)
+        with KeepAlive(gw.bound_port) as client:
+            status, _, body = client.exchange(permit_request())
+            assert status == 502
+            assert body.startswith(b"upstream unreachable")
+            status, _, body = client.exchange(permit_request())
+            assert (status, json.loads(body)["upstream"]) == (200, True)
+        assert (stub.hit_count, stub.connections) == (2, 2)
 
     def test_upstream_timeout_502_then_fresh_connection(self, gateway_for, monkeypatch):
         monkeypatch.setattr(service, "UPSTREAM_TIMEOUT", 0.2)
@@ -972,6 +1038,18 @@ class TestRelay:
             monkeypatch.setattr(service, "UPSTREAM_TIMEOUT", 5)
             assert client.exchange(permit_request())[0] == 200
         assert stub.connections == 2
+
+    def test_each_exchange_gets_the_whole_timeout(self, gateway_for, monkeypatch):
+        # on a kept-alive connection the timeout counts from each exchange's start
+        monkeypatch.setattr(service, "UPSTREAM_TIMEOUT", 1.0)
+        gw, _, stub, _ = gateway_for(delay=(0, 0.7, 1.6))
+        with KeepAlive(gw.bound_port) as client:
+            assert client.exchange(permit_request())[0] == 200
+            time.sleep(0.5)
+            assert client.exchange(permit_request())[0] == 200  # answered 1.2 s after the first began
+            status, _, body = client.exchange(permit_request())
+            assert (status, body) == (502, b"upstream unreachable: no answer within 1.0 s\n")
+        assert (stub.hit_count, stub.connections) == (3, 1)
 
 
 class TestOneLoop:
@@ -1051,13 +1129,36 @@ class TestExits:
         assert stub.hit_count == 0
         assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
 
-    def test_unsplittable_target_500_audited_once(self, gateway):
-        # urlsplit rejects the target: the request still leaves through the one exit
-        gw, base, _, audit_path = gateway
-        status_line, fields, _ = split_response(raw_exchange(gw.bound_port, b"GET //[x/proxy HTTP/1.1\r\n\r\n"))
+    def test_relay_fault_500_audited_once(self, gateway, monkeypatch):
+        # a fault after the upstream answered leaves through the same one exit
+        gw, base, stub, audit_path = gateway
+        end_to_end = service._end_to_end
+
+        def fault(headers, dropped):
+            if dropped is service.NOT_RELAYED:
+                raise RuntimeError("relay fault")
+            return end_to_end(headers, dropped)
+
+        monkeypatch.setattr(service, "_end_to_end", fault)
+        status_line, fields, body = split_response(raw_exchange(gw.bound_port, permit_request()))
         assert status_line == "HTTP/1.1 500 Internal Server Error"
         assert ("Connection", "close") in fields
+        assert body == b"internal error\n"
+        assert [record["decision"] for record in read_audit(audit_path)] == ["Permit"]
+        assert stub.hit_count == 1
+        assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
+
+    def test_unsplittable_target_400_audited_once(self, gateway, caplog):
+        # urlsplit rejects the target: the client's error, answered and audited once
+        gw, base, _, audit_path = gateway
+        with caplog.at_level(logging.ERROR):
+            reply = raw_exchange(gw.bound_port, b"GET //[x/proxy HTTP/1.1\r\n\r\n")
+        status_line, fields, body = split_response(reply)
+        assert status_line == "HTTP/1.1 400 Bad Request"
+        assert ("Connection", "close") in fields
+        assert body.startswith(b"bad request target '//[x/proxy'")
         assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
+        assert [record.getMessage() for record in caplog.records if record.levelno >= logging.ERROR] == []
         assert requests.get(f"{base}/healthz", timeout=10).status_code == 200
 
     @pytest.mark.parametrize(
@@ -1237,3 +1338,40 @@ def test_requests_leave_no_cyclic_garbage(tmp_path, monkeypatch):
         gw.stop()
     assert garbage == 0
     assert [statuses(data)[0] for data in transport.written] == ([200] * len(pool) + [403] * len(refusals)) * 10
+
+
+def test_permit_forwards_leave_no_cyclic_garbage(tmp_path, monkeypatch):
+    # a Permit forwarded on a kept-alive upstream connection, and its relayed
+    # answer, are freed by reference counting alone
+    monkeypatch.syspath_prepend(str(BENCH))
+    import loadgen
+    import workloads
+
+    proxy = workloads.prepare("ehealth-proxy", 7, tmp_path)
+    permits = [
+        item.data for index, item in enumerate(proxy.items) if proxy.expected(index, 0).value is pdp.DecisionValue.PERMIT
+    ]
+    # gc.collect() counts every thread's garbage: let the stub threads of
+    # earlier tests, which may still be failing a write, end first
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread():
+            thread.join(timeout=5)
+    stub = loadgen.Stub()
+    gw = Gateway(load_gateway_config(write_gateway_conf(tmp_path, stub.port)))
+    try:
+        with KeepAlive(gw.start()) as client:
+            assert client.exchange(permits[0])[0] == 200  # the upstream connection opens
+            gc.collect()
+            gc.disable()
+            try:
+                answers = [client.exchange(data)[0] for _ in range(10) for data in permits]
+                garbage = gc.collect()
+            finally:
+                gc.enable()
+    finally:
+        gw.stop()
+        stats = stub.stats()
+        stub.stop()
+    assert garbage == 0
+    assert answers == [200] * 10 * len(permits)
+    assert (sum(stats["hits"].values()), stats["connections"]) == (1 + 10 * len(permits), 1)
