@@ -103,19 +103,15 @@ def parse_document(slot: str, text: str | bytes, source: str = ""):
     return graph
 
 
-def assemble(
-    docs: dict, trusted_soas, version: int, previous: PolicyStore | None = None
-) -> tuple[list[str], PolicyStore | None]:
+def assemble(docs: dict, trusted_soas, version: int) -> tuple[list[str], PolicyStore | None]:
     """Activate a store from every slot but the registry, then check the
     registry (when given) against its graphs; the store only if nothing is
-    found.  ``previous`` lends its compiled graph sets when the graphs are its own."""
+    found."""
     findings: list[str] = []
     graphs = {kind: docs[kind] for kind in ONTOLOGY_KINDS}
     store = None
     try:
-        store = activate_store(
-            docs["policy"], graphs, docs["purposes"], trusted_soas, version=version, previous=previous
-        )
+        store = activate_store(docs["policy"], graphs, docs["purposes"], trusted_soas, version=version)
     except ActivationError as exc:
         findings.extend(exc.findings)
     if "registry" in docs:

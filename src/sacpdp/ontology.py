@@ -15,9 +15,13 @@ as subsumed by every concept it instantiates.
 
 Graphs are immutable once built.  All structural validation happens in
 :func:`build_graph` / :func:`load_ontology`; the query functions
-(:func:`subsumes`, :func:`inherited_rights_roles`,
-:func:`equivalent_attributes`, :func:`ancestor_sets`) assume a validated
-graph and only ever raise for unknown or mis-tagged references.
+(:func:`subsumes`, :func:`subsumption_path`, :func:`inherited_rights_roles`
+and :func:`equivalent_attributes`) assume a validated graph and only ever
+raise for unknown or mis-tagged references.
+
+:func:`build_graph` also builds, once, the sets that follow from the graph
+alone: ``ancestors`` on every graph, ``rights`` on SO and ``components`` on
+AtO (see :class:`OntologyGraph`).  A graph that is kept keeps its sets.
 """
 
 from __future__ import annotations
@@ -90,6 +94,12 @@ class OntologyGraph:
     right of the senior role; ``equiv_edges`` holds unordered attribute pairs
     stored canonically as sorted tuples.  ``property_arcs`` are informational
     labeled arcs and never influence matching.
+
+    ``ancestors`` maps every node to its inclusive is-a ancestors, the
+    encoding of a hierarchy by its ancestor sets (Ait-Kaci et al., TOPLAS
+    1989).  On SO, ``rights`` maps every node to the ancestors of every role
+    whose rights it holds; on AtO, ``components`` maps every node to its
+    equivalence component.  Both are empty elsewhere.
     """
 
     kind: str
@@ -98,14 +108,13 @@ class OntologyGraph:
     role_inherit_edges: frozenset
     equiv_edges: frozenset
     property_arcs: tuple = ()
-    # derived adjacency, rebuilt at construction; excluded from equality so two
-    # graphs are equal iff their declared node/edge sets are equal
+    # derived adjacency and sets, built with the graph; excluded from equality
+    # so two graphs are equal iff their declared node/edge sets are equal
     _parents: Mapping[str, tuple] = field(default_factory=dict, compare=False, repr=False)
     _inherit_targets: Mapping[str, tuple] = field(default_factory=dict, compare=False, repr=False)
-    _equiv_neighbors: Mapping[str, tuple] = field(default_factory=dict, compare=False, repr=False)
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self.node_kinds
+    ancestors: Mapping[str, frozenset] = field(default_factory=dict, compare=False, repr=False)
+    rights: Mapping[str, frozenset] = field(default_factory=dict, compare=False, repr=False)
+    components: Mapping[str, frozenset] = field(default_factory=dict, compare=False, repr=False)
 
     def require(self, ref: ConceptRef) -> str:
         """Validate a reference against this graph and return its id."""
@@ -177,19 +186,8 @@ def build_graph(
             if end not in node_kinds:
                 raise DanglingReferenceError(f"property arc references undeclared node {end!r}")
 
-    _reject_cycle(kind, "is-a", node_kinds, isa)
-    _reject_cycle(kind, "inherits", node_kinds, inherit)
-
-    parents: dict[str, list] = {n: [] for n in node_kinds}
-    for child, parent in sorted(isa):
-        parents[child].append(parent)
-    inherit_targets: dict[str, list] = {n: [] for n in node_kinds}
-    for junior, senior in sorted(inherit):
-        inherit_targets[junior].append(senior)
-    equiv_neighbors: dict[str, list] = {n: [] for n in node_kinds}
-    for a, b in sorted(equiv):
-        equiv_neighbors[a].append(b)
-        equiv_neighbors[b].append(a)
+    parents, isa_order = _topological(kind, "is-a", node_kinds, isa)
+    inherit_targets, inherit_order = _topological(kind, "inherits", node_kinds, inherit)
 
     return OntologyGraph(
         kind=kind,
@@ -198,17 +196,56 @@ def build_graph(
         role_inherit_edges=inherit,
         equiv_edges=equiv,
         property_arcs=arcs,
-        _parents={n: tuple(v) for n, v in parents.items()},
-        _inherit_targets={n: tuple(v) for n, v in inherit_targets.items()},
-        _equiv_neighbors={n: tuple(v) for n, v in equiv_neighbors.items()},
+        _parents=parents,
+        _inherit_targets=inherit_targets,
+        **_derived_sets(kind, (parents, isa_order), (inherit_targets, inherit_order), equiv),
     )
 
 
-def _reject_cycle(kind: str, label: str, nodes: Mapping[str, str], edges: frozenset) -> None:
+def _derived_sets(kind: str, isa: tuple, inherit: tuple, equiv: frozenset) -> dict:
+    """The graph's ``ancestors``, ``rights`` and ``components``; ``isa`` and
+    ``inherit`` are each relation's successors and topological order."""
+    ancestors = _closure(*isa, {node: frozenset((node,)) for node in isa[1]})
+    sets = {"ancestors": ancestors}
+    if kind == "SO":
+        sets["rights"] = _closure(*inherit, ancestors)
+    if kind == "AtO":
+        neighbors: dict[str, list] = {node: [] for node in isa[1]}
+        for a, b in equiv:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        components: dict[str, frozenset] = {}
+        for start in neighbors:
+            if start not in components:
+                component, queue = {start}, [start]
+                while queue:
+                    fresh = set(neighbors[queue.pop()]) - component
+                    component |= fresh
+                    queue += fresh
+                components.update(dict.fromkeys(component, frozenset(component)))
+        sets["components"] = components
+    return sets
+
+
+def _closure(successors: Mapping[str, tuple], order: list, own: Mapping[str, frozenset]) -> dict[str, frozenset]:
+    """Every node's own set united with its successors' sets, each built
+    once, in an ``order`` that lists every node after its successors."""
+    sets: dict[str, frozenset] = {}
+    for node in order:
+        nexts = successors[node]
+        sets[node] = own[node].union(*(sets[nxt] for nxt in nexts)) if nexts else own[node]
+    return sets
+
+
+def _topological(kind: str, label: str, nodes: Mapping[str, str], edges: frozenset) -> tuple[dict, list]:
+    """Every node's successors over ``edges``, in sorted order, and the
+    nodes in an order that lists each after its successors.  Raises
+    CycleDetectedError, naming one concrete cycle, if the edges form one."""
     # iterative three-color DFS; on a back edge, reconstruct the cycle path
     succ: dict[str, list] = {n: [] for n in nodes}
     for a, b in sorted(edges):
         succ[a].append(b)
+    order: list[str] = []
     state: dict[str, int] = {}
     for start in sorted(nodes):
         if state.get(start):
@@ -231,8 +268,10 @@ def _reject_cycle(kind: str, label: str, nodes: Mapping[str, str], edges: frozen
                     break
             if not advanced:
                 state[node] = 2
+                order.append(node)
                 path.pop()
                 stack.pop()
+    return {n: tuple(v) for n, v in succ.items()}, order
 
 
 def subsumes(graph: OntologyGraph, ancestor: ConceptRef, descendant: ConceptRef) -> bool:
@@ -274,29 +313,6 @@ def subsumption_path(graph: OntologyGraph, ancestor: ConceptRef, descendant: Con
     return None
 
 
-def ancestor_sets(graph: OntologyGraph) -> dict[str, frozenset]:
-    """Every node's inclusive is-a ancestors: ``descendant`` is subsumed by
-    ``ancestor`` iff ``ancestor in ancestor_sets(graph)[descendant]``.
-
-    This is the encoding of a hierarchy by its ancestor sets (Ait-Kaci et
-    al., TOPLAS 1989); each set is built once, from its parents' sets.
-    """
-    waiting = {node: len(parents) for node, parents in graph._parents.items()}
-    children: dict[str, list] = {node: [] for node in graph.node_kinds}
-    for child, parent in graph.isa_edges:
-        children[parent].append(child)
-    ready = [node for node, count in waiting.items() if not count]
-    sets: dict[str, frozenset] = {}
-    while ready:  # a node is ready once all its parents have their sets
-        node = ready.pop()
-        sets[node] = frozenset((node,)).union(*(sets[p] for p in graph._parents[node]))
-        for child in children[node]:
-            waiting[child] -= 1
-            if not waiting[child]:
-                ready.append(child)
-    return sets
-
-
 def inherited_rights_roles(graph: OntologyGraph, role: ConceptRef) -> set:
     """All roles whose rights ``role`` holds: itself plus every role reachable
     over role-inheritance edges (junior -> senior direction)."""
@@ -312,26 +328,18 @@ def inherited_rights_roles(graph: OntologyGraph, role: ConceptRef) -> set:
     return {ConceptRef(graph.kind, node) for node in closure}
 
 
-def equivalent_attributes(graph: OntologyGraph, attr: AttributeDescriptor) -> set:
+def equivalent_attributes(graph: OntologyGraph, attr: AttributeDescriptor) -> frozenset:
     """The attribute-name equivalence set governing matching for ``attr``.
 
     With equivalence disabled this is just ``{attr.name}``; enabled, it is the
     connected component of the name under AtO equivalence edges (symmetric and
-    transitive closure).
+    transitive closure), as the graph holds it.
     """
     if attr.name not in graph.node_kinds:
         raise UnknownConceptError(f"{graph.kind} has no attribute node {attr.name!r}")
     if not attr.equivalence_enabled:
-        return {attr.name}
-    component = {attr.name}
-    queue = deque([attr.name])
-    while queue:
-        node = queue.popleft()
-        for other in graph._equiv_neighbors[node]:
-            if other not in component:
-                component.add(other)
-                queue.append(other)
-    return component
+        return frozenset((attr.name,))
+    return graph.components[attr.name]
 
 
 # --- document form ---------------------------------------------------------

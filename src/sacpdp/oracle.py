@@ -1,17 +1,18 @@
 """Reference decision procedure built on fully materialized closures.
 
 This is the differential twin of pdp.decide: same contract, deliberately
-different construction.  Where the engine walks graphs on demand, the oracle
-first materializes complete reachability matrices (Floyd-Warshall), the whole
-role-inheritance closure, the full attribute equivalence partition, and every
-purpose's ancestor set, then evaluates each rule by table lookup and combines
-by sorting an explicit outcome table.  The tables are built once per store,
-on its first decision, and kept while the store lives.
+different construction.  Where the engine matches against the sets built
+with each graph, the oracle first materializes, from the declared edges
+alone, complete reachability relations as one bitset row per node (Warren,
+CACM 1975), the full attribute equivalence partition, and every purpose's
+ancestor set, then evaluates each rule by table lookup and combines by
+sorting an explicit outcome table.  The tables are built once per store, on
+its first decision, and kept while the store lives.
 
-It shares only data types with the engine.  It does not call subsumes,
-inherited_rights_roles, equivalent_attributes, purpose_compliant or
-evaluate_condition, and it does not read the engine's combining constant, so
-a corrupted engine cannot drag the oracle along with it.
+It shares only data types with the engine.  It calls nothing in pdp or
+ontology, and reads neither the sets built with each graph (``ancestors``,
+``rights``, ``components``) nor the engine's combining constant, so a
+corrupted engine cannot drag the oracle along with it.
 """
 
 from __future__ import annotations
@@ -29,24 +30,34 @@ _ERROR = "error"
 _MISSING = "missing"
 
 
-def _reach_matrix(nodes: list[str], edges) -> dict:
-    """Reflexive-transitive reachability over directed edges, Floyd-Warshall."""
+def _reach_rows(nodes: list[str], edges) -> tuple[dict, dict]:
+    """Reflexive-transitive reachability: ``b`` is reachable from ``a`` iff
+    ``rows[a] >> index[b] & 1``.  Warren's algorithm ORs row ``k`` into row
+    ``i`` for each set bit ``k`` of row ``i`` in ascending order, in one pass
+    over the bits below the diagonal, then one over those above it."""
     index = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    reach = [[False] * n for _ in range(n)]
-    for i in range(n):
-        reach[i][i] = True
+    rows = [1 << i for i in range(len(nodes))]
     for a, b in edges:
-        reach[index[a]][index[b]] = True
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    return {(a, b): reach[index[a]][index[b]] for a in nodes for b in nodes}
+        rows[index[a]] |= 1 << index[b]
+    for below in (True, False):
+        for i, row in enumerate(rows):
+            side = (1 << i) - 1 if below else -1 << (i + 1)
+            k = -1
+            while bits := row & side & (-1 << (k + 1)):
+                k = (bits & -bits).bit_length() - 1
+                row |= rows[k]
+            rows[i] = row
+    return index, dict(zip(nodes, rows))
+
+
+def _members(nodes: list[str], row: int) -> list[str]:
+    """The nodes whose bits are set in ``row``, in index order."""
+    members = []
+    while row:
+        low = row & -row
+        members.append(nodes[low.bit_length() - 1])
+        row ^= low
+    return members
 
 
 def _equiv_partition(graph: OntologyGraph) -> dict:
@@ -67,11 +78,11 @@ class _Tables:
         for kind, graph in store.graphs.items():
             nodes = sorted(graph.node_kinds)
             self.kinds[kind] = set(nodes)
-            self.isa[kind] = _reach_matrix(nodes, graph.isa_edges)
+            self.isa[kind] = _reach_rows(nodes, graph.isa_edges)
         so_nodes = sorted(store.graphs["SO"].node_kinds)
-        closure = _reach_matrix(so_nodes, store.graphs["SO"].role_inherit_edges)
+        _, closure = _reach_rows(so_nodes, store.graphs["SO"].role_inherit_edges)
         # per SO node, in sorted order, every role whose rights it holds
-        self.rights = {a: [b for b in so_nodes if closure[(a, b)]] for a in so_nodes}
+        self.rights = {a: _members(so_nodes, row) for a, row in closure.items()}
         self.equiv = _equiv_partition(store.graphs["AtO"])
         tree = store.purposes
         self.purpose_ancestors = {}
@@ -110,6 +121,7 @@ def _clause_concepts(tables, kind, rule_ref, concepts, widen_roles):
     if rule_ref.id == WILDCARD_ID:
         return True
     known = tables.kinds[kind]
+    index, rows = tables.isa[kind]
     for ref in sorted(concepts, key=lambda c: (c.ontology, c.id)):
         if ref.ontology != kind or ref.id not in known:
             return _ERROR
@@ -121,8 +133,9 @@ def _clause_concepts(tables, kind, rule_ref, concepts, widen_roles):
             candidates = tables.rights[ref.id]
         else:
             candidates = [ref.id]
+        target = index[rule_ref.id]
         for node in candidates:
-            if tables.isa[kind][(node, rule_ref.id)]:
+            if rows[node] >> target & 1:
                 return True
     return False
 

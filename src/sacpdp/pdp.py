@@ -15,15 +15,16 @@ corrupt it and prove the differential oracle notices.
 An evaluation never raises: ontology lookup failures and condition type
 mismatches inside a matched rule fold into Indeterminate with a trace entry.
 
-Activation compiles the store once (:class:`CompiledStore`): the inclusive
-ancestor set of every SO, OO and AO node; for every SO node, the union of
-the ancestor sets of every role whose rights it holds; for every rule, the
-AtO equivalence names of its required attributes; and every purpose's
-ancestor set.  ``decide`` then scans the rules by set membership, in the
-clause order subject, object, action, attributes, purpose, condition, and
-writes no trace.  Only the rule it selects is walked again clause by clause
-(shortest is-a chains, role inheritance, certificates) to write the
-explanation, so the scan and the walk must agree on every rule's value.
+The sets that follow from one ontology alone (ancestors, SO rights, AtO
+components) are built with its graph by :func:`ontology.build_graph`.
+Activation compiles only the policy layer (:class:`CompiledStore`): every
+rule's clauses and the AtO equivalence names of its required attributes,
+and every purpose's ancestor set.  ``decide`` then scans the rules by set
+membership against both, in the clause order subject, object, action,
+attributes, purpose, condition, and writes no trace.  Only the rule it
+selects is walked again clause by clause (shortest is-a chains, role
+inheritance, certificates) to write the explanation, so the scan and the
+walk must agree on every rule's value.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .ontology import (
     ConceptRef,
     OntologyGraph,
     WILDCARD_ID,
-    ancestor_sets,
     equivalent_attributes,
     inherited_rights_roles,
     subsumption_path,
@@ -93,27 +93,16 @@ class CompiledRule:
 
 @dataclass(frozen=True)
 class CompiledStore:
-    """What activation precomputes for the rule scan."""
+    """What activation precomputes for the rule scan beyond the graphs' sets."""
 
-    ancestors: Mapping[str, Mapping[str, frozenset]]  # SO/OO/AO -> node -> inclusive ancestors
-    rights: Mapping[str, frozenset]  # SO node -> ancestors of every role whose rights it holds
     purposes: Mapping[str, frozenset]  # purpose -> inclusive ancestors
     rules: tuple  # one CompiledRule per policy rule, in document order
 
 
 def _compile_store(
-    policy: PolicyDocument,
-    graphs: Mapping[str, OntologyGraph],
-    purposes: PurposeTree,
-    previous: PolicyStore | None = None,
+    policy: PolicyDocument, graphs: Mapping[str, OntologyGraph], purposes: PurposeTree
 ) -> CompiledStore:
-    """Index validated rules, graphs and purposes for matching by membership.
-    The ancestor and rights sets depend on the SO, OO and AO graphs alone, so
-    they are taken from ``previous`` when it holds the very same graphs."""
-    if previous is not None and all(previous.graphs[kind] is graphs[kind] for kind in ("SO", "OO", "AO")):
-        ancestors, rights = previous.compiled.ancestors, previous.compiled.rights
-    else:
-        ancestors, rights = _compile_graphs(graphs)
+    """Index validated rules and purposes for matching by membership."""
 
     def clause(ref: ConceptRef) -> str | None:
         return None if ref.id == WILDCARD_ID else ref.id
@@ -124,9 +113,7 @@ def _compile_store(
             subject=clause(rule.subject),
             object=clause(rule.object),
             action=clause(rule.action),
-            required=tuple(
-                frozenset(equivalent_attributes(graphs["AtO"], attr)) for attr in rule.required_attributes
-            ),
+            required=tuple(equivalent_attributes(graphs["AtO"], attr) for attr in rule.required_attributes),
             variables=frozenset(var.name for var in rule.subject_attr_vars + rule.object_attr_vars),
             purpose=None if rule.purpose == ANY_PURPOSE else rule.purpose,
             condition=None if isinstance(rule.condition, Empty) else rule.condition,
@@ -134,21 +121,7 @@ def _compile_store(
         for rule in policy.rules
     )
     purpose_sets = {pid: frozenset(purposes.ancestors_inclusive(pid)) for pid in purposes.ids()}
-    return CompiledStore(ancestors=ancestors, rights=rights, purposes=purpose_sets, rules=rules)
-
-
-def _compile_graphs(graphs: Mapping[str, OntologyGraph]) -> tuple[dict, dict]:
-    """The inclusive ancestor sets of every SO, OO and AO node, and every SO
-    node's rights: the union of the ancestor sets of the roles it holds."""
-    ancestors = {kind: ancestor_sets(graphs[kind]) for kind in ("SO", "OO", "AO")}
-    so = graphs["SO"]
-    rights = {
-        node: frozenset().union(
-            *(ancestors["SO"][role.id] for role in inherited_rights_roles(so, ConceptRef("SO", node)))
-        )
-        for node in so.node_kinds
-    }
-    return ancestors, rights
+    return CompiledStore(purposes=purpose_sets, rules=rules)
 
 
 @dataclass(frozen=True)
@@ -159,8 +132,8 @@ class PolicyStore:
     graphs: Mapping[str, OntologyGraph]
     purposes: PurposeTree
     trusted_soas: frozenset
+    compiled: CompiledStore = field(compare=False, repr=False)
     version: int = 1
-    compiled: CompiledStore | None = field(default=None, compare=False, repr=False)
 
 
 def activate_store(
@@ -169,11 +142,9 @@ def activate_store(
     purposes: PurposeTree,
     trusted_soas,
     version: int = 1,
-    previous: PolicyStore | None = None,
 ) -> PolicyStore:
     """Validate every rule against the graphs and tree, then compile and
-    freeze a store; the graph sets of ``previous`` are reused when its SO, OO
-    and AO graphs are the ones given.
+    freeze a store.
 
     Raises ActivationError carrying the full findings list if any rule fails;
     nothing is partially activated.
@@ -196,7 +167,7 @@ def activate_store(
         purposes=purposes,
         trusted_soas=frozenset(trusted_soas),
         version=version,
-        compiled=_compile_store(policy, graphs, purposes, previous),
+        compiled=_compile_store(policy, graphs, purposes),
     )
 
 
@@ -388,14 +359,14 @@ class _RequestSets:
     )
 
     def __init__(self, store: PolicyStore, req: AccessRequest):
-        compiled = store.compiled
-        self.subjects, self.subject_miss = _reach(req.subject_concepts, "SO", compiled.rights)
-        self.objects, self.object_miss = _reach(req.object_concepts, "OO", compiled.ancestors["OO"])
-        self.actions, self.action_miss = _reach((req.action,), "AO", compiled.ancestors["AO"])
+        graphs = store.graphs
+        self.subjects, self.subject_miss = _reach(req.subject_concepts, "SO", graphs["SO"].rights)
+        self.objects, self.object_miss = _reach(req.object_concepts, "OO", graphs["OO"].ancestors)
+        self.actions, self.action_miss = _reach((req.action,), "AO", graphs["AO"].ancestors)
         presented = req.presented_attributes
         self.trusted_names = frozenset([p.name for p in presented if p.soa_id in store.trusted_soas])
         self.names = frozenset([p.name for p in presented])
-        self.purposes = compiled.purposes.get(req.purpose)  # None: not in the tree
+        self.purposes = store.compiled.purposes.get(req.purpose)  # None: not in the tree
         self.context = req.context
 
 

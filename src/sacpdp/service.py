@@ -99,6 +99,7 @@ NOT_FORWARDED = HOP_BY_HOP | {
 NOT_RELAYED = HOP_BY_HOP | {"content-length", "x-decision"}
 
 HEAD_LIMIT = 64 * 1024  # bytes in a request head
+BODY_LIMIT = 8 * 1024 * 1024  # bytes a request body may declare
 MAX_FIELDS = 100  # header lines in a request head
 UPSTREAM_TIMEOUT = 10  # seconds to connect, and for each upstream exchange
 
@@ -307,14 +308,18 @@ def _parse_head(head: bytes) -> tuple[str, str, bool, Headers]:
 def _content_length(headers: Headers) -> int | None:
     """The body length a head declares, None when it declares none.  Two
     different values, or one that is not a non-negative integer, raise
-    RequestError(400)."""
+    RequestError(400); one of more digits than ``int`` converts raises
+    RequestError(413)."""
     if len(values := set(headers.get_all("content-length"))) > 1:
         raise RequestError(400, f"conflicting Content-Length values {sorted(values)}")
     if not values:
         return None
     if not ((raw := values.pop()).isascii() and raw.isdigit()):
         raise RequestError(400, f"bad Content-Length {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise RequestError(413, f"Content-Length of {len(raw)} digits") from None
 
 
 def _end_to_end(headers: Headers, dropped: frozenset) -> list[tuple[str, str]]:
@@ -596,7 +601,7 @@ class Gateway:
 
         Returns the new store version.  Raises ActivationError with the full
         findings report when the candidate assembly does not validate; the
-        previous state stays active in that case.
+        active state stays active in that case.
         """
         if slot not in SLOTS:
             raise ActivationError([f"unknown admin slot {slot!r}"])
@@ -607,7 +612,7 @@ class Gateway:
                 docs[slot] = parse_document(slot, text, source="admin upload")
             except SacError as exc:
                 raise ActivationError([str(exc)]) from exc
-            findings, candidate = assemble(docs, store.trusted_soas, version=store.version + 1, previous=store)
+            findings, candidate = assemble(docs, store.trusted_soas, version=store.version + 1)
             if findings or candidate is None:
                 raise ActivationError(findings or ["activation failed"])
             self._state = (candidate, docs["registry"])
@@ -792,6 +797,8 @@ class ClientConnection(asyncio.Protocol):
                 if self.headers.get_all("transfer-encoding"):
                     raise RequestError(411, "Transfer-Encoding is not accepted: send a Content-Length")
                 length = _content_length(self.headers) or 0
+                if length > BODY_LIMIT:
+                    raise RequestError(413, f"request body over {BODY_LIMIT} bytes")
             except RequestError as exc:
                 # the body's end is unknown: the connection closes after the answer
                 self.body_error, self.close = exc, True

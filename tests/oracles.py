@@ -1,8 +1,9 @@
 """Independent reference computations used to freeze expected values.
 
 Deliberately different algorithms from both the engine and the packaged
-reference model: reachability by fixpoint iteration (engine: BFS, reference
-model: Floyd-Warshall), equivalence by union-find, three-valued logic by
+reference model: reachability by fixpoint iteration (engine: BFS walks and
+ancestor sets built in topological order, reference model: Warren's bitset
+Warshall), equivalence by union-find, three-valued logic by
 numeric min/max over F<M<T, purposes by an explicit ancestor walk.
 """
 

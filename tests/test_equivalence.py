@@ -6,8 +6,6 @@ construction it replaced, which is kept here and nowhere else.
   document and error alike;
 * the compiled rule scan against the clause-by-clause traced walk, rule by
   rule, and ``decide`` against evaluating every rule with that walk;
-* a store that reuses its predecessor's compiled graph sets against one
-  compiled afresh;
 * the audit-line template against ``json.dumps`` of the record, and its
   timestamp against ``datetime.isoformat``.
 """
@@ -21,8 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import random_request_for, random_store
-from sacpdp import pdp
-from sacpdp.ontology import ancestor_sets
 from sacpdp.service import _audit_line, _timestamp
 from sacpdp.errors import DocumentError, MissingCategoryError, UnknownElementError
 from sacpdp.pdp import (
@@ -32,10 +28,8 @@ from sacpdp.pdp import (
     _evaluate_rule_traced,
     _RequestSets,
     _trace_rule,
-    activate_store,
     decide,
 )
-from sacpdp.policy import PolicyDocument
 from sacpdp.xmlbase import elem, parse_root, render_xml, unexpected
 from sacpdp.xmlio import (
     XacmlRequestDoc,
@@ -274,41 +268,6 @@ def test_scan_value_matches_traced_walk_for_every_rule(seed):
             assert trace == ()
             assert scanned is _trace_rule(compiled.rule, request, store)[0], compiled.rule.name
         assert decide(store, request) == traced_decide(store, request)
-
-
-# --- graph sets kept across a policy swap -----------------------------------
-
-
-@given(seed=st.integers(min_value=0, max_value=1_000_000))
-@settings(max_examples=200, deadline=None)
-def test_reused_graph_sets_decide_as_fresh_ones(seed):
-    # a new policy over the very same graphs takes the old store's ancestor
-    # and rights sets, and decides exactly as a store compiled from scratch
-    rng = random.Random(seed)
-    store = random_store(rng)
-    rules = list(store.policy.rules)
-    rng.shuffle(rules)
-    policy = PolicyDocument(rules=tuple(rules[: rng.randint(0, len(rules))]))
-    args = (policy, store.graphs, store.purposes, store.trusted_soas)
-    reused = activate_store(*args, version=2, previous=store)
-    fresh = activate_store(*args, version=2)
-    assert reused.compiled.ancestors is store.compiled.ancestors
-    assert reused.compiled.rights is store.compiled.rights
-    assert (reused.compiled.ancestors, reused.compiled.rights) == (fresh.compiled.ancestors, fresh.compiled.rights)
-    for _ in range(4):
-        request = random_request_for(rng, store)
-        assert decide(reused, request) == decide(fresh, request)
-
-
-def test_new_graphs_are_compiled_afresh(monkeypatch):
-    rng = random.Random(5)
-    store = random_store(rng)
-    other = random_store(rng)
-    compiled = []
-    monkeypatch.setattr(pdp, "ancestor_sets", lambda graph: compiled.append(graph.kind) or ancestor_sets(graph))
-    graphs = {**store.graphs, "OO": other.graphs["OO"]}
-    activate_store(PolicyDocument(rules=()), graphs, store.purposes, store.trusted_soas, previous=store)
-    assert compiled == ["SO", "OO", "AO"]
 
 
 # --- audit line ---------------------------------------------------------------

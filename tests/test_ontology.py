@@ -212,6 +212,7 @@ class TestSubsumptionAgainstOracle:
         nodes = sorted(graph.node_kinds)
         reach = fixpoint_reachability(nodes, graph.isa_edges)
         for child in nodes:
+            assert graph.ancestors[child] == reach[child], child
             for parent in nodes:
                 expected = parent in reach[child]
                 got = subsumes(graph, ref("SO", parent), ref("SO", child))
@@ -224,9 +225,12 @@ class TestSubsumptionAgainstOracle:
         graph = random_graph(rng, "SO", "n")
         nodes = sorted(graph.node_kinds)
         reach = fixpoint_reachability(nodes, graph.role_inherit_edges)
+        isa = fixpoint_reachability(nodes, graph.isa_edges)
         for node in nodes:
             got = {r.id for r in inherited_rights_roles(graph, ref("SO", node))}
             assert got == reach[node]
+            # the rights set: every is-a ancestor of every role it holds
+            assert graph.rights[node] == set().union(*(isa[role] for role in reach[node])), node
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -238,3 +242,4 @@ class TestSubsumptionAgainstOracle:
         for node in nodes:
             attr = AttributeDescriptor("x", node, equivalence_enabled=True)
             assert equivalent_attributes(graph, attr) == uf.component(node)
+            assert graph.components[node] == uf.component(node)

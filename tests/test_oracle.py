@@ -1,5 +1,10 @@
-"""The differential oracle builds its tables once per store."""
+"""The differential oracle builds its tables once per store, from the
+declared edges alone."""
 
+import dataclasses
+import random
+
+from randgen import random_request_for
 from sacpdp import oracle
 from sacpdp.oracle import oracle_decide
 from sacpdp.pdp import activate_store
@@ -38,3 +43,22 @@ def test_tables_go_with_their_store(ehealth, canned_requests):
     assert key in oracle._TABLES
     del copy
     assert key not in oracle._TABLES
+
+
+def test_oracle_reads_no_graph_sets(ehealth, canned_requests):
+    # the oracle derives everything from the declared edges: a store whose
+    # graphs lost the sets built with them decides exactly as the real one
+    store = ehealth[0]
+    bare = dataclasses.replace(
+        store,
+        graphs={
+            kind: dataclasses.replace(graph, ancestors={}, rights={}, components={})
+            for kind, graph in store.graphs.items()
+        },
+    )
+    assert not any(graph.ancestors or graph.rights or graph.components for graph in bare.graphs.values())
+    rng = random.Random(18)
+    requests = [request for _, request in canned_requests]
+    requests += [random_request_for(rng, store) for _ in range(200)]
+    for request in requests:
+        assert oracle_decide(bare, request) == oracle_decide(store, request)

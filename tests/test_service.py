@@ -20,10 +20,10 @@ import requests
 
 from conftest import EHEALTH, GOLDEN, write_gateway_conf
 from randgen import random_request_for
-from sacpdp import pdp, service
+from sacpdp import ontology, pdp, service
 from sacpdp.bundle import build_store, load_bundle
 from sacpdp.errors import ConfigError
-from sacpdp.ontology import ancestor_sets, load_ontology, serialize_ontology
+from sacpdp.ontology import load_ontology, serialize_ontology
 from sacpdp.registry import build_access_request
 from sacpdp.service import ClientConnection, Gateway, _parse_context_header, load_gateway_config
 from sacpdp.xmlio import parse_xacml_request, parse_xacml_response
@@ -193,6 +193,36 @@ class TestPlumbing:
         assert [record["decision"] for record in read_audit(audit_path)] == ["error"] * audited
         assert stub.hit_count == 0
         assert requests.get(f"{base}/admin/version", timeout=10).json() == {"version": 1}
+
+
+    @pytest.mark.parametrize("length", [str(service.BODY_LIMIT + 1), "9" * 5000])
+    @pytest.mark.parametrize(
+        "target, audited",
+        [
+            ("POST /proxy/records/jen?purpose=treat", 1),
+            ("POST /pdp/decide", 1),
+            ("GET /healthz", 0),
+            ("PUT /admin/policy", 0),
+        ],
+    )
+    def test_body_over_limit_413_from_the_head(self, gateway, target, audited, length):
+        # only the head is sent: the answer cannot wait for the body
+        gw, base, stub, audit_path = gateway
+        request = f"{target} HTTP/1.1\r\nHost: gw\r\nX-Subject: joan\r\nContent-Length: {length}\r\n\r\n"
+        reply = raw_exchange(gw.bound_port, request.encode())
+        assert statuses(reply) == [413]
+        assert "Connection: close" in reply.partition(b"\r\n\r\n")[0].decode().split("\r\n")
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"] * audited
+        assert stub.hit_count == 0
+        assert requests.get(f"{base}/admin/version", timeout=10).json() == {"version": 1}
+
+    def test_body_at_limit_is_read(self, gateway):
+        gw, _, _, _ = gateway
+        body = b"x" * service.BODY_LIMIT
+        with KeepAlive(gw.bound_port) as client:
+            head = f"GET /healthz HTTP/1.1\r\nHost: gw\r\nContent-Length: {len(body)}\r\n\r\n"
+            assert client.exchange(head.encode() + body)[0] == 200
+            assert client.exchange(b"GET /admin/version HTTP/1.1\r\nHost: gw\r\n\r\n")[0] == 200
 
 
 class TestProxyDecisions:
@@ -699,21 +729,33 @@ class TestAdminReload:
         assert r.status_code == 422
         assert "treat" in r.text
 
-    def test_policy_only_swaps_keep_graph_sets(self, gateway, monkeypatch):
-        # the SO, OO and AO sets follow from those graphs alone
+    def test_each_swap_builds_only_its_own_graph_sets(self, gateway, monkeypatch):
+        # a graph's ancestor, rights and component sets are built with it, so
+        # a swap builds those of the graph it uploads and keeps every other
+        # graph, sets and all
         gw, _, _, _ = gateway
-        compiled = []
-        monkeypatch.setattr(pdp, "ancestor_sets", lambda graph: compiled.append(graph.kind) or ancestor_sets(graph))
-        for slot, document in (
-            ("policy", "ehealth_policy.xml"),
-            ("purposes", "ehealth_purposes.xml"),
-            ("registry", "ehealth_registry.xml"),
-            ("AtO", "ehealth_ato.xml"),
+        built = []
+        derived_sets = ontology._derived_sets
+        monkeypatch.setattr(
+            ontology, "_derived_sets", lambda kind, *args: built.append(kind) or derived_sets(kind, *args)
+        )
+        for slot, document, rebuilt in (
+            ("policy", "ehealth_policy.xml", []),
+            ("purposes", "ehealth_purposes.xml", []),
+            ("registry", "ehealth_registry.xml", []),
+            ("AtO", "ehealth_ato.xml", ["AtO"]),
+            ("SO", "ehealth_so.xml", ["SO"]),
         ):
+            before, _ = gw.snapshot()
+            built.clear()
             gw.admin_load(slot, (EHEALTH / document).read_text(encoding="utf-8"))
-        assert compiled == []
-        gw.admin_load("SO", (EHEALTH / "ehealth_so.xml").read_text(encoding="utf-8"))
-        assert compiled == ["SO", "OO", "AO"]
+            after, _ = gw.snapshot()
+            assert built == rebuilt, slot
+            for kind in ontology.ONTOLOGY_KINDS:
+                old, new = before.graphs[kind], after.graphs[kind]
+                assert (new is old) == (kind not in rebuilt), (slot, kind)
+                # the same document builds the same sets afresh
+                assert (new.ancestors, new.rights, new.components) == (old.ancestors, old.rights, old.components)
         assert gw.version == 6
 
     def test_policy_swap_decides_as_a_fresh_store(self, gateway, tmp_path):
