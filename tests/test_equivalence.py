@@ -6,6 +6,8 @@ construction it replaced, which is kept here and nowhere else.
   document and error alike;
 * the compiled rule scan against the clause-by-clause traced walk, rule by
   rule, and ``decide`` against evaluating every rule with that walk;
+* a store over graphs kept from an earlier store against one over graphs
+  built afresh from their documents;
 * the audit-line template against ``json.dumps`` of the record, and its
   timestamp against ``datetime.isoformat``.
 """
@@ -19,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randgen import random_request_for, random_store
+from sacpdp import ontology
+from sacpdp.ontology import load_ontology, serialize_ontology
 from sacpdp.service import _audit_line, _timestamp
 from sacpdp.errors import DocumentError, MissingCategoryError, UnknownElementError
 from sacpdp.pdp import (
@@ -28,8 +32,10 @@ from sacpdp.pdp import (
     _evaluate_rule_traced,
     _RequestSets,
     _trace_rule,
+    activate_store,
     decide,
 )
+from sacpdp.policy import PolicyDocument
 from sacpdp.xmlbase import elem, parse_root, render_xml, unexpected
 from sacpdp.xmlio import (
     XacmlRequestDoc,
@@ -268,6 +274,55 @@ def test_scan_value_matches_traced_walk_for_every_rule(seed):
             assert trace == ()
             assert scanned is _trace_rule(compiled.rule, request, store)[0], compiled.rule.name
         assert decide(store, request) == traced_decide(store, request)
+
+
+# --- graph sets kept across a policy swap -----------------------------------
+
+
+def rebuilt(graph):
+    """The same graph parsed afresh from its document, sets and all."""
+    return load_ontology(serialize_ontology(graph))
+
+
+@given(seed=st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=200, deadline=None)
+def test_reused_graph_sets_decide_as_fresh_ones(seed):
+    # a new policy over the very same graphs keeps their ancestor, rights and
+    # component sets, and decides exactly as a store over graphs built afresh
+    rng = random.Random(seed)
+    store = random_store(rng)
+    rules = list(store.policy.rules)
+    rng.shuffle(rules)
+    policy = PolicyDocument(rules=tuple(rules[: rng.randint(0, len(rules))]))
+    reused = activate_store(policy, store.graphs, store.purposes, store.trusted_soas, version=2)
+    fresh_graphs = {kind: rebuilt(graph) for kind, graph in store.graphs.items()}
+    fresh = activate_store(policy, fresh_graphs, store.purposes, store.trusted_soas, version=2)
+    for kind, graph in store.graphs.items():
+        kept, new = reused.graphs[kind], fresh.graphs[kind]
+        assert kept is graph
+        assert (kept.ancestors, kept.rights, kept.components) == (new.ancestors, new.rights, new.components)
+    for _ in range(4):
+        request = random_request_for(rng, store)
+        assert decide(reused, request) == decide(fresh, request)
+
+
+def test_new_graphs_are_compiled_afresh(monkeypatch):
+    # a new graph's sets are built when the graph is, and activating a store
+    # over it builds no graph set
+    rng = random.Random(5)
+    store = random_store(rng)
+    other = random_store(rng)
+    built = []
+    derived_sets = ontology._derived_sets
+    monkeypatch.setattr(ontology, "_derived_sets", lambda kind, *args: built.append(kind) or derived_sets(kind, *args))
+    oo = rebuilt(other.graphs["OO"])
+    assert built == ["OO"]
+    graphs = {**store.graphs, "OO": oo}
+    activated = activate_store(PolicyDocument(rules=()), graphs, store.purposes, store.trusted_soas)
+    assert built == ["OO"]
+    assert activated.graphs["OO"] is oo
+    assert oo.ancestors == other.graphs["OO"].ancestors
+    assert oo.ancestors is not store.graphs["OO"].ancestors
 
 
 # --- audit line ---------------------------------------------------------------

@@ -729,6 +729,28 @@ class TestAdminReload:
         assert r.status_code == 422
         assert "treat" in r.text
 
+    def test_policy_only_swaps_keep_graph_sets(self, gateway, monkeypatch):
+        # the SO, OO, AO and AtO sets follow from those graphs alone
+        gw, _, _, _ = gateway
+        built = []
+        derived_sets = ontology._derived_sets
+        monkeypatch.setattr(
+            ontology, "_derived_sets", lambda kind, *args: built.append(kind) or derived_sets(kind, *args)
+        )
+        before, _ = gw.snapshot()
+        for slot, document in (
+            ("policy", "ehealth_policy.xml"),
+            ("purposes", "ehealth_purposes.xml"),
+            ("registry", "ehealth_registry.xml"),
+        ):
+            gw.admin_load(slot, (EHEALTH / document).read_text(encoding="utf-8"))
+        after, _ = gw.snapshot()
+        assert built == []
+        assert all(after.graphs[kind] is before.graphs[kind] for kind in ontology.ONTOLOGY_KINDS)
+        gw.admin_load("SO", (EHEALTH / "ehealth_so.xml").read_text(encoding="utf-8"))
+        assert built == ["SO"]
+        assert gw.version == 5
+
     def test_each_swap_builds_only_its_own_graph_sets(self, gateway, monkeypatch):
         # a graph's ancestor, rights and component sets are built with it, so
         # a swap builds those of the graph it uploads and keeps every other
