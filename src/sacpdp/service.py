@@ -21,9 +21,10 @@ answered from its future's callback.  The requests behind a forward or a
 swap wait in the buffer, so requests on a connection are answered in order,
 each in one write on a TCP_NODELAY socket.  A request head is at most 64 KiB
 and 100 header lines (else 431), HTTP/1.0 or HTTP/1.1 (else 505), with CRLF
-line endings (else 400).  Every request leaves through one exit: an
-unexpected error is a 500 with one ``error`` audit record, and a failed
-audit write is a 503 with nothing forwarded.
+line endings (else 400).  Every request leaves through one exit: a refusal
+on /proxy or /pdp/decide (a ``RequestError``) and an unexpected error (a 500)
+each leave one ``error`` audit record, and a failed audit write is a 503 with
+nothing forwarded.
 """
 
 from __future__ import annotations
@@ -158,24 +159,27 @@ class GatewayConfig:
     listen_host: str
     listen_port: int
     upstream: str
-    audit_log: Path | None
+    audit_log: Path
 
 
 def load_gateway_config(path: str | Path) -> GatewayConfig:
-    """The gateway config is a bundle file with listen/upstream/audit_log keys."""
+    """The gateway config is a bundle file with listen/upstream/audit_log
+    keys; audit_log is required, and listen is ``host[:port]``."""
     path = Path(path)
     if path.is_dir():
         path = path / "bundle.conf"
     bundle = load_bundle(path)
     values = parse_kv_config(path)
+    if not values.get("audit_log"):
+        raise ConfigError(f"{path}: no audit_log: the gateway records every decision it enforces there")
     listen = values.get("listen", "127.0.0.1:8080")
-    host, _, port_text = listen.rpartition(":")
-    if not host:
-        host, port_text = listen, "8080"
+    address = urlsplit("//" + listen)
     try:
-        port = int(port_text)
+        port = 8080 if address.port is None else address.port  # a port that is not a number raises here
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad listen address {listen!r}") from exc
+        raise ConfigError(f"{path}: bad listen port in {listen!r}") from exc
+    if not address.hostname:
+        raise ConfigError(f"{path}: no host in listen address {listen!r}")
     upstream = values.get("upstream", "http://127.0.0.1:9000").rstrip("/")
     parts = urlsplit(upstream)
     try:
@@ -184,9 +188,9 @@ def load_gateway_config(path: str | Path) -> GatewayConfig:
         raise ConfigError(f"{path}: bad upstream port in {upstream!r}") from exc
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"{path}: upstream must be an http:// or https:// URL, got {upstream!r}")
-    audit = (bundle.root / values["audit_log"]) if "audit_log" in values else None
+    audit = bundle.root / values["audit_log"]
     return GatewayConfig(
-        bundle=bundle, listen_host=host, listen_port=port, upstream=upstream, audit_log=audit
+        bundle=bundle, listen_host=address.hostname, listen_port=port, upstream=upstream, audit_log=audit
     )
 
 
@@ -230,20 +234,19 @@ def _parse_context_header(raw: str) -> tuple[str, object]:
 
 
 class RequestError(ValueError):
-    """A request head or body framing the gateway cannot take.  It is
-    answered with ``status``, and the connection closes after the answer."""
+    """A request refused before it is decided, answered with ``status``; on
+    /proxy and /pdp/decide it is audited as ``error`` with ``ids``, the
+    subject, object, action and purpose the request named.  A bad head or
+    body framing also closes the connection after the answer."""
 
-    def __init__(self, status: int, message: str):
+    def __init__(self, status: int, message: str, ids: tuple = (None, None, None, None)):
         super().__init__(message)
         self.status = status
+        self.ids = ids
 
 
 class AuditError(Exception):
     """The audit record could not be written: the request fails closed."""
-
-
-def _status(exc: Exception) -> int:
-    return exc.status if isinstance(exc, RequestError) else 400
 
 
 def _dot_segment(object_id: str) -> str | None:
@@ -573,10 +576,8 @@ class Gateway:
         self._state: tuple[PolicyStore, KnowledgeBase] = (store, kb)
         self._swap_lock = threading.Lock()
         self._audit_lock = threading.Lock()
-        self._audit_handle = None
-        if config.audit_log is not None:
-            config.audit_log.parent.mkdir(parents=True, exist_ok=True)
-            self._audit_handle = open(config.audit_log, "a", encoding="utf-8")
+        config.audit_log.parent.mkdir(parents=True, exist_ok=True)
+        self._audit_handle = open(config.audit_log, "a", encoding="utf-8")
         parts = urlsplit(config.upstream)
         tls = parts.scheme == "https"
         self.upstream_address = (parts.hostname, parts.port or (443 if tls else 80), tls)
@@ -622,9 +623,8 @@ class Gateway:
 
     def audit(self, record: dict) -> None:
         """Append one record as the line ``json.dumps(record)`` writes, and
-        flush it."""
-        if self._audit_handle is None:
-            return
+        flush it.  Raises OSError when the write fails, and ValueError once
+        stop() has closed the log."""
         line = _audit_line(record)
         with self._audit_lock:
             self._audit_handle.write(line)
@@ -657,9 +657,7 @@ class Gateway:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
-        if self._audit_handle is not None:
-            self._audit_handle.close()
-            self._audit_handle = None
+        self._audit_handle.close()  # a record written after this raises, so its request fails closed
 
     def serve_forever(self) -> None:
         """Foreground variant used by the command line, on the main thread:
@@ -831,20 +829,22 @@ class ClientConnection(asyncio.Protocol):
         self.started, self.audited = time.monotonic(), False
         try:
             try:
-                parts = urlsplit(self.target)
-            except ValueError as exc:  # an unclosed "[", say: the client's error
-                self.close = True
-                self._audit(None, None, None, None)
-                self._send(400, f"bad request target {self.target!r}: {exc}\n".encode())
-                return
-            if self.method not in METHODS:
-                self._send(501, f"method {self.method} is not supported\n".encode())
-            elif parts.path == "/pdp/decide" and self.method == "POST":
-                self._pdp_decide()
-            elif parts.path == "/proxy" or parts.path.startswith("/proxy/"):
-                self._proxy(self.method, parts)
-            else:
-                self._local(self.method, parts.path)
+                try:
+                    parts = urlsplit(self.target)
+                except ValueError as exc:  # an unclosed "[", say: the client's error
+                    self.close = True
+                    raise RequestError(400, f"bad request target {self.target!r}: {exc}") from exc
+                if self.method not in METHODS:
+                    self._send(501, f"method {self.method} is not supported\n".encode())
+                elif parts.path == "/pdp/decide" and self.method == "POST":
+                    self._pdp_decide()
+                elif parts.path == "/proxy" or parts.path.startswith("/proxy/"):
+                    self._proxy(self.method, parts)
+                else:
+                    self._local(self.method, parts.path)
+            except RequestError as exc:  # a refusal: answered and audited here, once
+                self._audit(*exc.ids)
+                self._send(exc.status, f"{exc}\n".encode())
         except Exception as exc:
             self._fail(exc)
 
@@ -942,30 +942,19 @@ class ClientConnection(asyncio.Protocol):
         self._resume()
 
     def _pdp_decide(self) -> None:
-        store, kb = self.gateway.snapshot()
+        body = self._body()
         try:
-            wire = parse_xacml_request(self._body())
+            wire = parse_xacml_request(body)
         except (SacError, ValueError) as exc:
-            self._audit(None, None, None, None)
-            self._send(_status(exc), f"{exc}\n".encode())
-            return
-        ids = (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id)
-        try:
-            request, conflicts = build_access_request(wire, kb, store)
-        except UnknownPurposeError as exc:
-            self._audit(*ids)
-            self._send(400, f"{exc}\n".encode())
-            return
-        decision = decide(store, request)
-        self._audit(*ids, decision, conflicts)
+            raise RequestError(400, str(exc)) from exc
+        decision = self._decide(wire, (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id))
         doc = response_doc_for(decision)
         body = serialize_xacml_response(doc).encode("utf-8")
         self._send(200, body, "application/xml", [("X-Decision", decision.value.value)])
 
     def _proxy(self, method: str, parts) -> None:
-        """Decides a /proxy request; a refusal is answered here, and a
-        Permit is forwarded."""
-        store, kb = self.gateway.snapshot()
+        """Decides a /proxy request, and forwards a Permit; a request that
+        cannot be decided raises RequestError with every problem in it."""
         object_id = parts.path[len("/proxy/") :] if parts.path.startswith("/proxy/") else ""
         query = parse_qs(parts.query)
         purpose = (query.get("purpose") or [self.headers.get("x-purpose", "")])[0]
@@ -991,11 +980,10 @@ class ClientConnection(asyncio.Protocol):
                 environment[key] = value
         except (SacError, ValueError) as exc:
             problems.append(str(exc))
-            status = _status(exc)
+            status = getattr(exc, "status", 400)  # a RequestError's framing status
         if problems:
-            self._audit(subject_id, object_id or None, action_id, purpose or None)
-            self._send(status, ("\n".join(problems) + "\n").encode())
-            return
+            ids = (subject_id, object_id or None, action_id, purpose or None)
+            raise RequestError(status, "\n".join(problems), ids)
 
         wire = XacmlRequestDoc(
             subject_id=subject_id,
@@ -1005,14 +993,7 @@ class ClientConnection(asyncio.Protocol):
             purpose_id=purpose,
             environment=environment,
         )
-        try:
-            request, conflicts = build_access_request(wire, kb, store)
-        except UnknownPurposeError as exc:
-            self._audit(subject_id, object_id, action_id, purpose)
-            self._send(400, f"{exc}\n".encode())
-            return
-        decision = decide(store, request)
-        self._audit(subject_id, object_id, action_id, purpose, decision, conflicts)
+        decision = self._decide(wire, (subject_id, object_id, action_id, purpose))
 
         if decision.value is not DecisionValue.PERMIT:
             # masked refusals must be byte-exact "access denied", so no newline here
@@ -1026,6 +1007,19 @@ class ClientConnection(asyncio.Protocol):
         if parts.query:
             target += f"?{parts.query}"
         self._forward(method, target, body, _end_to_end(self.headers, NOT_FORWARDED))
+
+    def _decide(self, wire: XacmlRequestDoc, ids: tuple) -> Decision:
+        """Decides ``wire`` against the active snapshot and audits the
+        decision with ``ids`` (subject, object, action, purpose).  An unknown
+        purpose raises RequestError(400) with ``ids``."""
+        store, kb = self.gateway.snapshot()
+        try:
+            request, conflicts = build_access_request(wire, kb, store)
+        except UnknownPurposeError as exc:
+            raise RequestError(400, str(exc), ids) from exc
+        decision = decide(store, request)
+        self._audit(*ids, decision, conflicts)
+        return decision
 
     # -- forwards ------------------------------------------------------------
 

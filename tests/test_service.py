@@ -22,6 +22,7 @@ from conftest import EHEALTH, GOLDEN, write_gateway_conf
 from randgen import random_request_for
 from sacpdp import ontology, pdp, service
 from sacpdp.bundle import build_store, load_bundle
+from sacpdp.cli import main
 from sacpdp.errors import ConfigError
 from sacpdp.ontology import load_ontology, serialize_ontology
 from sacpdp.registry import build_access_request
@@ -99,6 +100,16 @@ def permit_request(method="GET", target="records/jen?purpose=treat", extra="") -
         f"{method} /proxy/{target} HTTP/1.1\r\nHost: gw\r\nX-Subject: joan\r\n"
         f"X-Context: years_of_service=5; type=int\r\nContent-Length: 0\r\n{extra}\r\n"
     ).encode()
+
+
+def closing_proxy_get(target: str, extra: str = "") -> bytes:
+    """A GET of /proxy/{target} that asks the gateway to close after it."""
+    return f"GET /proxy/{target} HTTP/1.1\r\nHost: gw\r\n{extra}Connection: close\r\n\r\n".encode()
+
+
+def closing_decide(body: bytes) -> bytes:
+    """A POST of ``body`` to /pdp/decide that asks the gateway to close after it."""
+    return f"POST /pdp/decide HTTP/1.1\r\nHost: gw\r\nContent-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode() + body
 
 
 def proxy_get(base, path, subject=None, purpose=None, headers=None, method="GET", **kw):
@@ -439,6 +450,38 @@ class TestUpstreamConnection:
         conf.write_text(text)
         with pytest.raises(ConfigError, match="upstream"):
             load_gateway_config(conf)
+
+    @pytest.mark.parametrize(
+        "listen, address",
+        [
+            ("[::1]:0", ("::1", 0)),
+            ("127.0.0.1", ("127.0.0.1", 8080)),
+            (":8080", None),
+            ("h:abc", None),
+            ("h:1:2", None),
+        ],
+    )
+    def test_listen_address(self, tmp_path, listen, address):
+        # host[:port], an IPv6 host in brackets; nothing is bound here
+        conf = write_gateway_conf(tmp_path, upstream_port=9)
+        conf.write_text(conf.read_text().replace("listen = 127.0.0.1:0", f"listen = {listen}"))
+        if address is None:
+            with pytest.raises(ConfigError, match=re.escape(repr(listen))):
+                load_gateway_config(conf)
+        else:
+            config = load_gateway_config(conf)
+            assert (config.listen_host, config.listen_port) == address
+
+    @pytest.mark.parametrize("line", ["", "audit_log =\n"], ids=["missing", "empty"])
+    def test_audit_log_required(self, tmp_path, capsys, line):
+        # a gateway that would enforce decisions with no record of them never starts
+        conf = write_gateway_conf(tmp_path, upstream_port=9)
+        conf.write_text(re.sub(r"audit_log = .*\n", line, conf.read_text()))
+        with pytest.raises(ConfigError, match="no audit_log"):
+            load_gateway_config(conf)
+        assert main(["serve", str(conf)]) == 2
+        assert "no audit_log" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [conf]
 
 
 class TestProxyErrors:
@@ -883,6 +926,14 @@ class TestAuditLog:
         assert len(permits) == 2
         assert stub.hit_count == len(permits)
 
+    def test_record_after_stop_is_refused(self, gateway):
+        # never dropped in silence: the request that writes it fails closed
+        gw, _, _, audit_path = gateway
+        gw.stop()
+        with pytest.raises(ValueError):
+            gw.audit({"decision": "error"})
+        assert read_audit(audit_path) == []
+
     def test_decide_endpoint_is_audited(self, gateway):
         _, base, _, audit_path = gateway
         body = (EHEALTH / "requests" / "01_doctor_reads_record.xml").read_bytes()
@@ -890,6 +941,110 @@ class TestAuditLog:
         record = read_audit(audit_path)[-1]
         assert record["subject"] == "joan"
         assert record["decision"] == "Permit"
+
+    @pytest.mark.parametrize(
+        "request_bytes, status_line, body, record",
+        [
+            (
+                closing_proxy_get("x/../records/jen?purpose=treat", "X-Subject: joan\r\n"),
+                "HTTP/1.1 400 Bad Request",
+                b"dot segment '..' in object 'x/../records/jen'\n",
+                ("joan", "x/../records/jen", "read", "treat", "error", False, None),
+            ),
+            (
+                closing_proxy_get("records/jen", "X-Subject: joan\r\n"),
+                "HTTP/1.1 400 Bad Request",
+                b"no purpose: pass ?purpose=... or an X-Purpose header\n",
+                ("joan", "records/jen", "read", None, "error", False, None),
+            ),
+            (
+                closing_proxy_get("?purpose=treat"),
+                "HTTP/1.1 400 Bad Request",
+                b"no object named after /proxy/\n",
+                ("anonymous", None, "read", "treat", "error", False, None),
+            ),
+            (
+                closing_proxy_get("records/jen?purpose=bake", "X-Subject: joan\r\n"),
+                "HTTP/1.1 400 Bad Request",
+                b"unknown purpose 'bake'\n",
+                ("joan", "records/jen", "read", "bake", "error", False, None),
+            ),
+            (
+                closing_proxy_get(
+                    "records/jen?purpose=treat", "X-Subject: joan\r\nX-Context: years_of_service=five; type=int\r\n"
+                ),
+                "HTTP/1.1 400 Bad Request",
+                b"not an int: 'five'\n",
+                ("joan", "records/jen", "read", "treat", "error", False, None),
+            ),
+            (
+                closing_proxy_get("records/jen?purpose=treat", "X-Subject: joan\r\nX-Attribute: ; soa=x\r\n"),
+                "HTTP/1.1 400 Bad Request",
+                b"attribute header missing name: '; soa=x'\n",
+                ("joan", "records/jen", "read", "treat", "error", False, None),
+            ),
+            (
+                b"POST /proxy/records/jen HTTP/1.1\r\nX-Subject: joan\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+                "HTTP/1.1 411 Length Required",
+                b"no purpose: pass ?purpose=... or an X-Purpose header\n"
+                b"Transfer-Encoding is not accepted: send a Content-Length\n",
+                ("joan", "records/jen", "write", None, "error", False, None),
+            ),
+            (
+                closing_decide(b"<request/>"),
+                "HTTP/1.1 400 Bad Request",
+                b"request is missing the subject category (line 1, column 0)\n",
+                (None, None, None, None, "error", False, None),
+            ),
+            (
+                closing_decide(DECIDE_BODY.replace(b'"joan"', b'"jo\xffan"')),
+                "HTTP/1.1 400 Bad Request",
+                b"not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 66: invalid start byte\n",
+                (None, None, None, None, "error", False, None),
+            ),
+            (
+                closing_decide(DECIDE_BODY.replace(b'"treat"', b'"bake"')),
+                "HTTP/1.1 400 Bad Request",
+                b"unknown purpose 'bake'\n",
+                ("joan", "records/jen", "read", "bake", "error", False, None),
+            ),
+            (
+                f"POST /pdp/decide HTTP/1.1\r\nContent-Length: {service.BODY_LIMIT + 1}\r\n\r\n".encode(),
+                "HTTP/1.1 413 Request Entity Too Large",
+                b"request body over 8388608 bytes\n",
+                (None, None, None, None, "error", False, None),
+            ),
+            (
+                closing_decide(DECIDE_BODY),
+                "HTTP/1.1 200 OK",
+                (GOLDEN / "decide_response_01.xml").read_bytes(),
+                ("joan", "records/jen", "read", "treat", "Permit", False, "Read_patient_records"),
+            ),
+            (
+                b"GET //[x/proxy HTTP/1.1\r\n\r\n",
+                "HTTP/1.1 400 Bad Request",
+                b"bad request target '//[x/proxy': Invalid IPv6 URL\n",
+                (None, None, None, None, "error", False, None),
+            ),
+        ],
+        ids=[
+            "proxy-dot-segment", "proxy-no-purpose", "proxy-no-object", "proxy-unknown-purpose",
+            "proxy-bad-context", "proxy-bad-attribute", "proxy-transfer-encoding-no-purpose",
+            "decide-missing-category", "decide-invalid-utf8", "decide-unknown-purpose", "decide-413",
+            "decide-permit", "unsplittable-target",
+        ],
+    )
+    def test_answer_and_record_of_each_refusal(self, gateway, request_bytes, status_line, body, record):
+        # a refusal is recorded with the ids its request named, as received,
+        # and null for the ones it named none of or could not be read for
+        gw, _, stub, audit_path = gateway
+        fields = [("Content-Type", "text/plain; charset=utf-8"), ("Content-Length", str(len(body))), ("Connection", "close")]
+        if status_line == "HTTP/1.1 200 OK":
+            fields = [("Content-Type", "application/xml"), *fields[1:], ("X-Decision", "Permit")]
+        assert split_response(raw_exchange(gw.bound_port, request_bytes)) == (status_line, fields, body)
+        keys = ("subject", "object", "action", "purpose", "decision", "masked", "matched_rule")
+        assert [tuple(line[key] for key in keys) for line in read_audit(audit_path)] == [record]
+        assert stub.hit_count == 0
 
 
 class TestRequestHead:
