@@ -4,7 +4,9 @@ Exit codes
   validate   0 valid, 1 findings reported, 2 unreadable config or documents
   decide     0 Permit, 3 Deny, 4 NotApplicable, 5 Indeterminate, 2 bad input
   oracle     0 engine and oracle agree, 1 mismatch found, 2 bad input
-  serve      2 bad config, otherwise 0 once SIGTERM or Ctrl-C stops it
+  serve      2 bad config, an audit log that cannot be opened or a listen
+             address that cannot be bound, otherwise 0 once SIGTERM or
+             Ctrl-C stops it
 
 Results go to stdout, diagnostics to stderr.  The SACPDP_CONFIG environment
 variable, when set, overrides the config path argument of every command.
@@ -110,7 +112,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = load_gateway_config(_config_path(args.config))
         gateway = Gateway(config)
-    except SacError as exc:
+    except (SacError, OSError) as exc:  # OSError: the audit log cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
@@ -122,6 +124,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         gateway.serve_forever()
     except KeyboardInterrupt:
         pass
+    except OSError as exc:  # binding the listen address failed
+        print(f"error: cannot listen on {config.listen_host}:{config.listen_port}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -17,7 +17,7 @@ from .ontology import AttributeDescriptor, ConceptRef
 from .pdp import AccessRequest, PolicyStore
 from .policy import Scalar
 from .xmlbase import elem
-from .xmlio import XacmlRequestDoc, parse_wire_attribute, required_attr, wire_attribute_node
+from .xmlio import XacmlRequestDoc, parse_scalar, parse_wire_attribute, required_attr, wire_attribute_node
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,14 @@ def parse_registry(text: str | bytes) -> KnowledgeBase:
         elif child.tag == "context_attribute":
             kind = required_attr(child, "kind")
             if kind == "int":
-                specs.append(
-                    ContextAttributeSpec(
-                        attribute_id=required_attr(child, "id"),
-                        kind="int",
-                        low=int(required_attr(child, "min")),
-                        high=int(required_attr(child, "max")),
+                attribute_id = required_attr(child, "id")
+                low = parse_scalar("int", required_attr(child, "min"), child)
+                high = parse_scalar("int", required_attr(child, "max"), child)
+                if low > high:
+                    raise DocumentError(
+                        f"context_attribute {attribute_id!r}: min {low} is above max {high}", child.line, child.column
                     )
-                )
+                specs.append(ContextAttributeSpec(attribute_id=attribute_id, kind="int", low=low, high=high))
             elif kind == "string":
                 values = tuple(required_attr(child, "values").split())
                 specs.append(

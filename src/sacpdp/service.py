@@ -112,31 +112,25 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 _log = logging.getLogger(__name__)
 
-# The keys of the gateway's audit records, in the order _audit writes them.
-_AUDIT_KEYS = ("action", "decision", "latency_ms", "masked", "matched_rule", "object", "purpose", "subject", "ts")
-_AUDIT_KEYS_CONFLICTS = ("action", "conflicts", *_AUDIT_KEYS[1:])
-
 
 def _json_text(value: str | None) -> str:
     return "null" if value is None else _json_string(value)
 
 
-def _audit_line(record: dict) -> str:
-    """``json.dumps(record)`` and a newline.  A record with the keys and
-    value types that _audit writes is filled into a template instead."""
-    keys = tuple(record)
-    if keys == _AUDIT_KEYS:
-        conflicts = ""
-    elif keys == _AUDIT_KEYS_CONFLICTS:
-        conflicts = f'"conflicts": [{", ".join(map(_json_string, record["conflicts"]))}], '
-    else:
-        return json.dumps(record) + "\n"
+def _audit_line(
+    *, action, decision, latency_ms, masked, matched_rule, object, purpose, subject, ts, conflicts=()
+) -> str:
+    """One audit record as ``json.dumps(record, sort_keys=True)`` writes it,
+    and a newline: each field is filled into the one template by name, and
+    ``conflicts`` is written only when it is not empty.  A field the template
+    does not know raises TypeError."""
+    listed = f'"conflicts": [{", ".join(map(_json_string, conflicts))}], ' if conflicts else ""
     return (
-        f'{{"action": {_json_text(record["action"])}, {conflicts}"decision": {_json_string(record["decision"])}, '
-        f'"latency_ms": {record["latency_ms"]!r}, "masked": {"true" if record["masked"] else "false"}, '
-        f'"matched_rule": {_json_text(record["matched_rule"])}, "object": {_json_text(record["object"])}, '
-        f'"purpose": {_json_text(record["purpose"])}, "subject": {_json_text(record["subject"])}, '
-        f'"ts": {_json_string(record["ts"])}}}\n'
+        f'{{"action": {_json_text(action)}, {listed}"decision": {_json_string(decision)}, '
+        f'"latency_ms": {latency_ms!r}, "masked": {"true" if masked else "false"}, '
+        f'"matched_rule": {_json_text(matched_rule)}, "object": {_json_text(object)}, '
+        f'"purpose": {_json_text(purpose)}, "subject": {_json_text(subject)}, '
+        f'"ts": {_json_string(ts)}}}\n'
     )
 
 
@@ -173,19 +167,21 @@ def load_gateway_config(path: str | Path) -> GatewayConfig:
     if not values.get("audit_log"):
         raise ConfigError(f"{path}: no audit_log: the gateway records every decision it enforces there")
     listen = values.get("listen", "127.0.0.1:8080")
-    address = urlsplit("//" + listen)
     try:
-        port = 8080 if address.port is None else address.port  # a port that is not a number raises here
+        address = urlsplit("//" + listen)  # an unclosed "[" raises, and so does a port that is not a number
+        port = 8080 if address.port is None else address.port
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad listen port in {listen!r}") from exc
+        raise ConfigError(f"{path}: bad listen address {listen!r}: {exc}") from exc
+    if address.netloc != listen or "@" in listen:  # a path, query, fragment or user would be dropped
+        raise ConfigError(f"{path}: listen must be host[:port], got {listen!r}")
     if not address.hostname:
         raise ConfigError(f"{path}: no host in listen address {listen!r}")
     upstream = values.get("upstream", "http://127.0.0.1:9000").rstrip("/")
-    parts = urlsplit(upstream)
     try:
-        parts.port  # a port that is not a number raises here
+        parts = urlsplit(upstream)
+        parts.port  # raises as the listen address does
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad upstream port in {upstream!r}") from exc
+        raise ConfigError(f"{path}: bad upstream URL {upstream!r}: {exc}") from exc
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"{path}: upstream must be an http:// or https:// URL, got {upstream!r}")
     audit = bundle.root / values["audit_log"]
@@ -622,10 +618,11 @@ class Gateway:
     # -- audit ---------------------------------------------------------------
 
     def audit(self, record: dict) -> None:
-        """Append one record as the line ``json.dumps(record)`` writes, and
-        flush it.  Raises OSError when the write fails, and ValueError once
-        stop() has closed the log."""
-        line = _audit_line(record)
+        """Append one record as the line _audit_line fills, and flush it.
+        Raises TypeError, writing nothing, for a field the line does not know
+        or one it lacks; OSError when the write fails; ValueError once stop()
+        has closed the log."""
+        line = _audit_line(**record)
         with self._audit_lock:
             self._audit_handle.write(line)
             self._audit_handle.flush()
@@ -1067,18 +1064,18 @@ class ClientConnection(asyncio.Protocol):
         """Write one audit record; without a decision, the request is recorded
         as an ``error`` (refused before it could be decided).  A write that
         fails raises AuditError."""
-        # keys in sorted order, so the line reads as json.dumps(sort_keys=True) wrote it
-        record = {"action": action}
-        if conflicts:
-            record["conflicts"] = list(conflicts)
-        record["decision"] = "error" if decision is None else decision.value.value
-        record["latency_ms"] = round((time.monotonic() - self.started) * 1000, 3)
-        record["masked"] = decision is not None and decision.masked
-        record["matched_rule"] = None if decision is None or decision.masked else decision.matched_rule
-        record["object"] = obj
-        record["purpose"] = purpose
-        record["subject"] = subject
-        record["ts"] = _timestamp(time.time_ns())
+        record = {
+            "subject": subject,
+            "object": obj,
+            "action": action,
+            "purpose": purpose,
+            "decision": "error" if decision is None else decision.value.value,
+            "masked": decision is not None and decision.masked,
+            "matched_rule": None if decision is None or decision.masked else decision.matched_rule,
+            "conflicts": conflicts,
+            "latency_ms": round((time.monotonic() - self.started) * 1000, 3),
+            "ts": _timestamp(time.time_ns()),
+        }
         try:
             self.gateway.audit(record)
         except (OSError, ValueError) as exc:  # ValueError: the log file is closed

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -208,6 +209,23 @@ class TestServe:
     def test_bad_config(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.conf")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_audit_log_that_cannot_be_opened(self, tmp_path, capsys):
+        # the log's directory would be a regular file
+        conf = write_gateway_conf(tmp_path, upstream_port=9)
+        conf.write_text(re.sub(r"audit_log = .*", f"audit_log = {conf}/audit.jsonl", conf.read_text()))
+        assert main(["serve", str(conf)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_listen_port_in_use(self, tmp_path, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            port = holder.getsockname()[1]
+            conf = write_gateway_conf(tmp_path, upstream_port=9)
+            conf.write_text(conf.read_text().replace("127.0.0.1:0", f"127.0.0.1:{port}"))
+            assert main(["serve", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot listen on 127.0.0.1:{port}: " in err
+        assert "Traceback" not in err
 
     def test_sigterm_stops_cleanly(self, tmp_path):
         # SIGTERM ends the gateway as Ctrl-C does: exit code 0, audit log whole

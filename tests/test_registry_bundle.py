@@ -1,9 +1,11 @@
 """Knowledge base registry, wire-request resolution, bundle loading."""
 
 import pytest
+import requests
 
 from conftest import EHEALTH
 from sacpdp.bundle import build_store, load_bundle, parse_kv_config, validate_bundle
+from sacpdp.cli import main
 from sacpdp.errors import ActivationError, ConfigError, UnknownPurposeError
 from sacpdp.ontology import AttributeDescriptor, ConceptRef
 from sacpdp.registry import (
@@ -90,6 +92,45 @@ class TestRegistryDocuments:
         assert len(findings) == 2
         assert any("x" in f for f in findings)
         assert any("astronaut" in f for f in findings)
+
+
+@pytest.mark.parametrize(
+    "bounds, finding",
+    [
+        ('max="40" min="ten"', "not an int: 'ten'"),
+        ('max="0" min="40"', "context_attribute 'years_of_service': min 40 is above max 0"),
+    ],
+    ids=["not-an-int", "min-above-max"],
+)
+class TestContextRanges:
+    """An int context attribute's range is read as the typed reader reads
+    every int, and must not be empty: random requests draw from it."""
+
+    @staticmethod
+    def registry_with(bounds: str) -> str:
+        text = (EHEALTH / "ehealth_registry.xml").read_text(encoding="utf-8")
+        ranged = '<context_attribute id="years_of_service" kind="int" max="40" min="0"/>'
+        assert ranged in text
+        return text.replace(ranged, f'<context_attribute id="years_of_service" kind="int" {bounds}/>')
+
+    def test_validate_reports_a_finding(self, tmp_path, capsys, bounds, finding):
+        (tmp_path / "registry.xml").write_text(self.registry_with(bounds), encoding="utf-8")
+        conf = tmp_path / "bundle.conf"
+        lines = [f"{key} = {EHEALTH / f'ehealth_{key}.xml'}" for key in ("so", "oo", "ao", "ato", "purposes", "policy")]
+        lines += [f"registry = {tmp_path / 'registry.xml'}", "trusted_soas = hospital_ADMIN"]
+        conf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", str(conf)]) == 1
+        out = capsys.readouterr().out
+        assert f"registry.xml: {finding}" in out
+
+    def test_upload_is_refused_unaudited(self, gateway, bounds, finding):
+        gw, base, _, audit_path = gateway
+        answer = requests.put(f"{base}/admin/registry", data=self.registry_with(bounds).encode(), timeout=10)
+        assert answer.status_code == 422
+        assert finding in answer.text
+        assert gw.version == 1
+        assert requests.get(f"{base}/admin/version", timeout=10).json() == {"version": 1}
+        assert not audit_path.exists() or audit_path.read_text(encoding="utf-8") == ""
 
 
 class TestRequestResolution:

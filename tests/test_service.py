@@ -442,7 +442,7 @@ class TestUpstreamConnection:
         assert headers["Host"] == f"127.0.0.1:{stub.port}"
 
     @pytest.mark.parametrize(
-        "upstream", ["ftp://127.0.0.1:9000", "127.0.0.1:9000", "http://", "http://127.0.0.1:port"]
+        "upstream", ["ftp://127.0.0.1:9000", "127.0.0.1:9000", "http://", "http://127.0.0.1:port", "http://[::1"]
     )
     def test_upstream_must_be_http_url(self, tmp_path, upstream):
         conf = write_gateway_conf(tmp_path, upstream_port=9)
@@ -459,6 +459,11 @@ class TestUpstreamConnection:
             (":8080", None),
             ("h:abc", None),
             ("h:1:2", None),
+            ("[::1", None),
+            ("127.0.0.1:0/x", None),
+            ("127.0.0.1:0?x", None),
+            ("127.0.0.1:0#x", None),
+            ("u@127.0.0.1:0", None),
         ],
     )
     def test_listen_address(self, tmp_path, listen, address):
@@ -926,13 +931,28 @@ class TestAuditLog:
         assert len(permits) == 2
         assert stub.hit_count == len(permits)
 
+    DECISION_RECORD = {
+        "subject": "joan", "object": "records/jen", "action": "read", "purpose": "treat",
+        "decision": "Permit", "masked": False, "matched_rule": "Read_patient_records",
+        "latency_ms": 0.25, "ts": "2026-10-20T09:00:00.000+00:00",
+    }
+
     def test_record_after_stop_is_refused(self, gateway):
         # never dropped in silence: the request that writes it fails closed
         gw, _, _, audit_path = gateway
         gw.stop()
         with pytest.raises(ValueError):
-            gw.audit({"decision": "error"})
+            gw.audit(self.DECISION_RECORD)
         assert read_audit(audit_path) == []
+
+    def test_record_with_unknown_key_is_refused(self, gateway):
+        # the one template knows every field it writes; a record with another
+        # is refused whole, never written in part or in another layout
+        gw, _, _, audit_path = gateway
+        with pytest.raises(TypeError):
+            gw.audit({**self.DECISION_RECORD, "prev": "0" * 64})
+        gw.audit(self.DECISION_RECORD)
+        assert read_audit(audit_path) == [self.DECISION_RECORD]
 
     def test_decide_endpoint_is_audited(self, gateway):
         _, base, _, audit_path = gateway

@@ -2,6 +2,8 @@
 
 import gc
 import random
+import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import EHEALTH, GOLDEN
 from randgen import random_store
+from sacpdp.bundle import SLOTS, parse_document
 from sacpdp.errors import (
     DocumentError,
     DuplicateIdError,
     DuplicateRuleNameError,
     MalformedXmlError,
     MissingCategoryError,
+    SacError,
     UnknownConditionTypeError,
     UnknownElementError,
     UnknownOntologyRefError,
@@ -429,3 +433,31 @@ def test_document_error_messages_pinned(parse, text, message, line):
     assert type(err.value) is UnknownElementError
     assert str(err.value) == message
     assert err.value.line == line
+
+
+# Values a document's author or an admin upload might put in any attribute:
+# empty, not a number, negative, out of float range, NaN, two tokens, the
+# wildcard, and the flag spelling of a different attribute.
+HOSTILE_VALUES = ["", "ten", "-1", "1e400", "nan", "x y", "*", "Enabled"]
+_READERS = [
+    *((EHEALTH / f"ehealth_{key}.xml", partial(parse_document, slot)) for slot, (key, _) in SLOTS.items()),
+    *((path, parse_xacml_request) for path in sorted((EHEALTH / "requests").glob("*.xml"))),
+]
+
+
+@pytest.mark.parametrize("path, parse", _READERS, ids=[path.name for path, _ in _READERS])
+def test_hostile_attribute_values_raise_only_sac_errors(path, parse):
+    # each attribute value of the document in turn, replaced by each hostile
+    # value: the reader returns, or raises the SacError its callers expect
+    text = path.read_text(encoding="utf-8")
+    escaped = []
+    for match in re.finditer(r'="[^"]*"', text):
+        for value in HOSTILE_VALUES:
+            try:
+                parse(f'{text[:match.start()]}="{value}"{text[match.end():]}')
+            except SacError:
+                pass
+            except Exception as exc:  # every escape is collected and reported
+                line = text.count("\n", 0, match.start()) + 1
+                escaped.append(f"line {line} {match.group()} -> {value!r}: {exc!r}")
+    assert escaped == []
