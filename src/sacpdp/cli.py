@@ -115,18 +115,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (SacError, OSError) as exc:  # OSError: the audit log cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"listening on {config.listen_host}:{config.listen_port}, "
-        f"upstream {config.upstream}",
-        file=sys.stderr,
-    )
+    try:
+        port = gateway.bind()
+    except OSError as exc:
+        gateway.stop()
+        print(f"error: cannot listen on {config.listen_host}:{config.listen_port}: {exc}", file=sys.stderr)
+        return 2
+    print(f"listening on {config.listen_host}:{port}, upstream {config.upstream}", file=sys.stderr)
     try:
         gateway.serve_forever()
     except KeyboardInterrupt:
         pass
-    except OSError as exc:  # binding the listen address failed
-        print(f"error: cannot listen on {config.listen_host}:{config.listen_port}: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -36,9 +36,9 @@ from .errors import (
     DanglingReferenceError,
     DuplicateIdError,
     UnknownConceptError,
-    UnknownElementError,
     WrongOntologyTagError,
 )
+from .xmlbase import required_attr
 
 ONTOLOGY_KINDS = ("SO", "OO", "AO", "AtO")
 
@@ -370,18 +370,18 @@ def load_ontology(text: str | bytes) -> OntologyGraph:
     arcs: list[tuple] = []
     for child in root.children:
         if child.tag in (CONCEPT, INDIVIDUAL):
-            node_id = _need(child, "id")
+            node_id = required_attr(child, "id")
             if node_id in nodes:
                 raise DuplicateIdError(f"node {node_id!r} declared twice")
             nodes[node_id] = child.tag
         elif child.tag == "isa":
-            isa.append((_need(child, "child"), _need(child, "parent")))
+            isa.append((required_attr(child, "child"), required_attr(child, "parent")))
         elif child.tag == "inherits":
-            inherit.append((_need(child, "junior"), _need(child, "senior")))
+            inherit.append((required_attr(child, "junior"), required_attr(child, "senior")))
         elif child.tag == "equiv":
-            equiv.append((_need(child, "a"), _need(child, "b")))
+            equiv.append((required_attr(child, "a"), required_attr(child, "b")))
         elif child.tag == "arc":
-            arcs.append((_need(child, "from"), _need(child, "label"), _need(child, "to")))
+            arcs.append((required_attr(child, "from"), required_attr(child, "label"), required_attr(child, "to")))
         else:
             raise xmlbase.unexpected(child, "in ontology document")
     return build_graph(kind, nodes, isa, inherit, equiv, arcs)
@@ -401,12 +401,3 @@ def serialize_ontology(graph: OntologyGraph) -> str:
     for src, label, dst in graph.property_arcs:
         root.children.append(xmlbase.elem("arc", {"from": src, "label": label, "to": dst}))
     return xmlbase.render_xml(root)
-
-
-def _need(node: xmlbase.XmlNode, attr: str) -> str:
-    value = node.get(attr)
-    if not value:
-        raise UnknownElementError(
-            f"<{node.tag}> is missing required attribute {attr!r}", node.line, node.column
-        )
-    return value

@@ -629,16 +629,20 @@ class Gateway:
 
     # -- server lifecycle ----------------------------------------------------
 
-    def _bind(self) -> socket.socket:
-        self._listener = socket.create_server((self.config.listen_host, self.config.listen_port))
-        self._stopping = Future()
-        return self._listener
+    def bind(self) -> int:
+        """Bind the listen address, unless it is bound already; returns the
+        bound port.  Raises OSError when the address cannot be bound."""
+        if self._listener is None:
+            self._listener = socket.create_server((self.config.listen_host, self.config.listen_port))
+            self._stopping = Future()
+        return self.bound_port
 
     def start(self) -> int:
         """Bind and serve on a background thread; returns the bound port."""
-        self._thread = threading.Thread(target=asyncio.run, args=(self._serve(self._bind()),), daemon=True)
+        port = self.bind()
+        self._thread = threading.Thread(target=asyncio.run, args=(self._serve(),), daemon=True)
         self._thread.start()
-        return self.bound_port
+        return port
 
     @property
     def bound_port(self) -> int:
@@ -660,7 +664,8 @@ class Gateway:
         """Foreground variant used by the command line, on the main thread:
         it serves until SIGTERM or Ctrl-C."""
         try:
-            asyncio.run(self._serve(self._bind()))
+            self.bind()
+            asyncio.run(self._serve())
         finally:
             self.stop()
 
@@ -668,11 +673,11 @@ class Gateway:
         if not self._stopping.done():
             self._stopping.set_result(None)
 
-    async def _serve(self, listener: socket.socket) -> None:
+    async def _serve(self) -> None:
         loop = asyncio.get_running_loop()
         if threading.current_thread() is threading.main_thread():
             loop.add_signal_handler(signal.SIGTERM, self._stop_serving)
-        async with await loop.create_server(lambda: ClientConnection(self), sock=listener):
+        async with await loop.create_server(lambda: ClientConnection(self), sock=self._listener):
             await asyncio.wrap_future(self._stopping)
         for connection in list(self._connections):
             connection.transport.close()

@@ -6,10 +6,14 @@ and ElementTree keeps no source positions for post-parse schema errors.  Raw
 expat (namespace processing off) accepts the prefix verbatim and reports
 line/column during the start handler, which is all we need.
 
-:func:`parse_events` runs expat over a document with the caller's handlers;
-a handler reads its element's position from :func:`position`.  No handler
-holds the parser, which holds the handlers, so a parse leaves no reference
-cycle behind for the garbage collector.
+:func:`parse_events` runs expat over a document with the caller's handlers.
+No handler holds the parser, which holds the handlers, so a parse leaves no
+reference cycle behind for the garbage collector.
+
+:func:`parse_xml` builds the tree in that one pass: each element takes its
+position as it starts, and as it closes its text is trimmed when it is a
+leaf and dropped when it has children.  No step recurses, so a deeply
+nested document builds like a flat one and is left to the schema checks.
 
 The writer emits one canonical form: XML declaration, two-space indentation,
 attributes sorted by name, text only on leaf elements, LF line endings.  Two
@@ -23,7 +27,7 @@ import threading
 from dataclasses import dataclass, field
 from xml.parsers import expat
 
-from .errors import MalformedXmlError, UnknownElementError
+from .errors import DocumentError, MalformedXmlError, UnknownElementError
 
 XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>'
 
@@ -55,7 +59,7 @@ class XmlNode:
 _parsing = threading.local()  # .parser: the expat parser running on this thread
 
 
-def position() -> tuple[int, int]:
+def _position() -> tuple[int, int]:
     """Line and column of the element whose start handler is running."""
     parser = _parsing.parser
     return parser.CurrentLineNumber, parser.CurrentColumnNumber
@@ -104,7 +108,7 @@ def parse_xml(text: str | bytes) -> XmlNode:
     root: list[XmlNode] = []
 
     def start(tag: str, attrs: dict[str, str]) -> None:
-        line, column = position()
+        line, column = _position()
         node = XmlNode(tag=tag, attrib=attrs, line=line, column=column)
         if stack:
             stack[-1].children.append(node)
@@ -113,7 +117,9 @@ def parse_xml(text: str | bytes) -> XmlNode:
         stack.append(node)
 
     def end(tag: str) -> None:
-        stack.pop()
+        # container elements keep no text; leaf text is trimmed at both ends
+        node = stack.pop()
+        node.text = "" if node.children else node.text.strip()
 
     def chars(data: str) -> None:
         if stack:
@@ -122,24 +128,27 @@ def parse_xml(text: str | bytes) -> XmlNode:
     parse_events(text, start, end, chars)
     if not root:
         raise MalformedXmlError("document has no root element")
-    tree = root[0]
-    _strip_whitespace(tree)
-    return tree
+    return root[0]
 
 
 def parse_root(text: str | bytes, tag: str) -> XmlNode:
     """Parse a document whose root element must be ``<tag>``."""
     root = parse_xml(text)
     if root.tag != tag:
-        raise wrong_root(root, tag)
+        raise UnknownElementError(
+            f"expected <{tag}> root, found <{root.tag}>", root.line, root.column
+        )
     return root
 
 
-def wrong_root(root: XmlNode, tag: str) -> UnknownElementError:
-    """The error for a document whose root element is not ``<tag>``."""
-    return UnknownElementError(
-        f"expected <{tag}> root, found <{root.tag}>", root.line, root.column
-    )
+def required_attr(node: XmlNode, name: str) -> str:
+    """The value of a required, non-empty XML attribute; DocumentError otherwise."""
+    value = node.get(name)
+    if value is None or value == "":
+        raise DocumentError(
+            f"<{node.tag}> is missing required attribute {name!r}", node.line, node.column
+        )
+    return value
 
 
 def unexpected(child: XmlNode, where: str) -> UnknownElementError:
@@ -148,16 +157,6 @@ def unexpected(child: XmlNode, where: str) -> UnknownElementError:
     return UnknownElementError(
         f"unexpected element <{child.tag}> {where}", child.line, child.column
     )
-
-
-def _strip_whitespace(node: XmlNode) -> None:
-    # container elements keep no text; leaf text is trimmed at both ends
-    if node.children:
-        node.text = ""
-        for child in node.children:
-            _strip_whitespace(child)
-    else:
-        node.text = node.text.strip()
 
 
 def render_xml(node: XmlNode) -> str:

@@ -16,9 +16,12 @@ serializing twice is byte-identical.
 
 The two documents of every decision request take no tree.  A response is
 written from one template that yields the bytes render_xml would write for
-its tree, with the escapes xmlbase uses.  A request is read in one pass by
-expat handlers that fill its fields; its schema findings are raised after
-the parse, in the order a walk of its tree would meet them.
+its tree, with the escapes xmlbase uses.  A request is read by a fast pass:
+expat handlers that fill its fields while it is well formed.  At anything
+else the fast pass only notes the failure, and the request is parsed again
+into a tree that one walk checks, raising the first finding.  So the order
+of a request's findings is defined once, by the walk, and only refused
+requests pay for the tree.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .policy import (
     PurposeTree,
     Scalar,
 )
-from .xmlbase import XmlNode, elem
+from .xmlbase import XmlNode, elem, required_attr
 
 ANY_PURPOSE_MARKER = "n/a"
 DEFAULT_RIGHT = "read_only"
@@ -63,20 +66,6 @@ _TRUE_FLAGS = ("Enabled", "Enable")
 
 def flag_enabled(raw: str | None) -> bool:
     return raw in _TRUE_FLAGS
-
-
-def required_attr(node: XmlNode, name: str) -> str:
-    """The value of a required, non-empty XML attribute; DocumentError otherwise."""
-    value = node.get(name)
-    if value is None or value == "":
-        raise _missing_attr(node, name)
-    return value
-
-
-def _missing_attr(node: XmlNode, name: str) -> DocumentError:
-    return DocumentError(
-        f"<{node.tag}> is missing required attribute {name!r}", node.line, node.column
-    )
 
 
 def _parse_bool_attr(node: XmlNode, name: str, default: bool) -> bool:
@@ -143,15 +132,25 @@ def _scalar_wire(value: Scalar) -> tuple[str, str]:
 _OPS_BY_NAME = {op.value: op for op in Op}
 _CONNECTIVES = ("And", "Or")
 
+#: The deepest ``<Condition>`` nesting a rule may have; the recursive
+#: evaluators run out of stack far beyond it (near 490 levels).
+MAX_CONDITION_DEPTH = 32
 
-def _parse_condition(node: XmlNode) -> ConditionExpr:
+
+def _parse_condition(node: XmlNode, depth: int = 1) -> ConditionExpr:
+    if depth > MAX_CONDITION_DEPTH:
+        raise DocumentError(
+            f"<Condition> is nested deeper than {MAX_CONDITION_DEPTH} levels",
+            node.line,
+            node.column,
+        )
     kind = required_attr(node, "type")
     if kind in _CONNECTIVES:
         children = []
         for child in node.children:
             if child.tag != "Condition":
                 raise xmlbase.unexpected(child, f"inside <Condition type={kind!r}>")
-            children.append(_parse_condition(child))
+            children.append(_parse_condition(child, depth + 1))
         if not children:
             raise DocumentError(
                 f"<Condition type={kind!r}> needs at least one child condition",
@@ -539,20 +538,16 @@ def parse_wire_attribute(node: XmlNode) -> AttributeDescriptor:
 
 
 _CATEGORIES = ("subject", "resource", "action", "environment", "purpose")
-_ID_CATEGORIES = ("subject", "resource", "action", "purpose")  # each needs an id
-
-# The schema checks of a request, in the order their findings are raised.
-_ROOT, _CHILDREN, _SUBJECT, _ENVIRONMENT = range(4)
 
 
 class _RequestReader:
-    """expat handlers that fill a request's fields as its elements arrive.
+    """expat handlers that fill a well-formed request's fields as its
+    elements arrive.
 
     Every category appears once and only subject and environment have
-    children, so each element has exactly one place.  The whole document is
-    parsed before any schema check is raised, so malformed XML wins: the
-    first finding of each check is kept, and :meth:`result` raises them in
-    check order.
+    children, so each element has exactly one place.  At anything else the
+    reader only sets ``failed``, and the request is read again by
+    :func:`_walk_request`, which raises its first finding.
     """
 
     def __init__(self) -> None:
@@ -560,115 +555,97 @@ class _RequestReader:
         # end events only need counting, so their handler is this list's
         # append, which runs no Python code: depth = starts - len(ends)
         self.ends: list[str] = []
-        self.category: str | None = None  # the latest depth-2 element, if a first-seen category
-        self.root = (0, 0)
+        self.category = ""  # the latest depth-2 element
         self.ids: dict[str, str] = {}  # category -> id, for every category seen
-        self.missing_ids: dict[str, DocumentError] = {}
         self.attributes: list[AttributeDescriptor] = []
         self.environment: dict[str, Scalar] = {}
-        self.findings: list[DocumentError | None] = [None] * 4
         self.failed = False
-
-    def _find(self, check: int, error: DocumentError) -> None:
-        if self.findings[check] is None:
-            self.findings[check] = error
-            self.failed = True
 
     def start(self, tag: str, attrs: dict[str, str]) -> None:
         self.starts += 1
         depth = self.starts - len(self.ends)
         if depth == 2:
-            if tag in self.ids or tag not in _CATEGORIES:
-                self.category = None
-                self._stray(tag, attrs)
-                return
             self.category = tag
-            self.ids[tag] = attrs.get("id", "")
-            if not self.ids[tag] and tag != "environment":
-                self.missing_ids[tag] = _missing_attr(_node(tag, attrs), "id")
+            cid = attrs.get("id", "")
+            if tag in self.ids or tag not in _CATEGORIES or not (cid or tag == "environment"):
                 self.failed = True
+            self.ids[tag] = cid
         elif depth == 3:
-            if self.category is not None:
-                self._child(tag, attrs)
-        elif depth == 1:
-            self.root = xmlbase.position()
-            if tag != "request":
-                self._find(_ROOT, xmlbase.wrong_root(_node(tag, attrs), "request"))
+            try:
+                if tag != "attribute":
+                    self.failed = True
+                elif self.category == "subject":
+                    self.attributes.append(parse_wire_attribute(XmlNode(tag, attrs)))
+                elif self.category == "environment" and attrs.get("name") and attrs.get("value"):
+                    self.environment[attrs["name"]] = parse_scalar(attrs.get("type", "string"), attrs["value"])
+                else:
+                    self.failed = True
+            except DocumentError:
+                self.failed = True
+        elif depth == 1 and tag != "request":
+            self.failed = True
 
-    def _stray(self, tag: str, attrs: dict[str, str]) -> None:
-        node = _node(tag, attrs)
-        if tag in self.ids:
-            error = UnknownElementError(
-                f"<request> has more than one <{tag}>", node.line, node.column
+
+def _walk_request(root: XmlNode) -> XacmlRequestDoc:
+    """A request from its tree.  Raises the first schema finding, checking
+    the request's children, then that no category is missing, then the
+    subject's and environment's children, then the ids."""
+    seen = set()
+    for child in root.children:
+        if child.tag not in _CATEGORIES:
+            raise xmlbase.unexpected(child, "in <request>")
+        if child.tag in seen:
+            raise UnknownElementError(
+                f"<request> has more than one <{child.tag}>", child.line, child.column
             )
-        else:
-            error = xmlbase.unexpected(node, "in <request>")
-        self._find(_CHILDREN, error)
-
-    def _child(self, tag: str, attrs: dict[str, str]) -> None:
-        category = self.category
-        if category not in ("subject", "environment"):
-            self._find(_CHILDREN, xmlbase.unexpected(_node(tag, attrs), f"in <{category}>"))
-            return
-        check = _SUBJECT if category == "subject" else _ENVIRONMENT
-        if self.findings[check] is not None:
-            return
-        node = _node(tag, attrs)
-        try:
-            if tag != "attribute":
-                raise xmlbase.unexpected(node, f"in <{category}>")
-            if check == _SUBJECT:
-                self.attributes.append(parse_wire_attribute(node))
-            else:
-                name = required_attr(node, "name")
-                self.environment[name] = parse_scalar(
-                    attrs.get("type", "string"), required_attr(node, "value"), node
-                )
-        except DocumentError as exc:
-            self._find(check, exc)
-
-    def result(self) -> XacmlRequestDoc:
-        ids = self.ids
-        if self.failed or len(ids) < len(_CATEGORIES):
-            self._raise_first()
-        return XacmlRequestDoc(
-            subject_id=ids["subject"],
-            subject_attributes=tuple(self.attributes),
-            resource_id=ids["resource"],
-            action_id=ids["action"],
-            purpose_id=ids["purpose"],
-            environment=self.environment,
-        )
-
-    def _raise_first(self) -> None:
-        for check in (_ROOT, _CHILDREN):
-            if self.findings[check] is not None:
-                raise self.findings[check]
-        for category in _CATEGORIES:
-            if category not in self.ids:
-                raise MissingCategoryError(
-                    f"request is missing the {category} category", *self.root
-                )
-        for check in (_SUBJECT, _ENVIRONMENT):
-            if self.findings[check] is not None:
-                raise self.findings[check]
-        for category in _ID_CATEGORIES:
-            if category in self.missing_ids:
-                raise self.missing_ids[category]
-
-
-def _node(tag: str, attrs: dict[str, str]) -> XmlNode:
-    """A childless node at the position of the element being started, for
-    the shared attribute readers and error builders."""
-    line, column = xmlbase.position()
-    return XmlNode(tag=tag, attrib=attrs, line=line, column=column)
+        seen.add(child.tag)
+        if child.tag not in ("subject", "environment") and child.children:
+            raise xmlbase.unexpected(child.children[0], f"in <{child.tag}>")
+    for category in _CATEGORIES:
+        if category not in seen:
+            raise MissingCategoryError(
+                f"request is missing the {category} category", root.line, root.column
+            )
+    subject = root.find("subject")
+    attributes = []
+    for child in subject.children:
+        if child.tag != "attribute":
+            raise xmlbase.unexpected(child, "in <subject>")
+        attributes.append(parse_wire_attribute(child))
+    environment = {}
+    for child in root.find("environment").children:
+        if child.tag != "attribute":
+            raise xmlbase.unexpected(child, "in <environment>")
+        name = required_attr(child, "name")
+        environment[name] = parse_scalar(child.get("type", "string"), required_attr(child, "value"), child)
+    return XacmlRequestDoc(
+        subject_id=required_attr(subject, "id"),
+        subject_attributes=tuple(attributes),
+        resource_id=required_attr(root.find("resource"), "id"),
+        action_id=required_attr(root.find("action"), "id"),
+        purpose_id=required_attr(root.find("purpose"), "id"),
+        environment=environment,
+    )
 
 
 def parse_xacml_request(text: str | bytes) -> XacmlRequestDoc:
-    """A request from its wire document, read in one pass with no tree."""
+    """A request from its wire document.  A well-formed request is read in
+    one pass with no tree; any other is read again as a tree and walked.
+    The first pass parses the whole document, so malformed XML is reported
+    before any schema finding."""
     reader = _RequestReader()
     xmlbase.parse_events(text, reader.start, reader.ends.append)
-    return reader.result()
+    ids = reader.ids
+    if reader.failed or len(ids) < len(_CATEGORIES):
+        return _walk_request(xmlbase.parse_root(text, "request"))
+    return XacmlRequestDoc(
+        subject_id=ids["subject"],
+        subject_attributes=tuple(reader.attributes),
+        resource_id=ids["resource"],
+        action_id=ids["action"],
+        purpose_id=ids["purpose"],
+        environment=reader.environment,
+    )
 
 
 def wire_attribute_node(attr: AttributeDescriptor) -> XmlNode:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -226,6 +227,38 @@ class TestServe:
         err = capsys.readouterr().err
         assert f"error: cannot listen on 127.0.0.1:{port}: " in err
         assert "Traceback" not in err
+        assert "listening on" not in err
+
+    def test_reports_the_bound_port(self, tmp_path):
+        # with listen = 127.0.0.1:0 the first stderr line names the port the
+        # system chose, and that port answers
+        conf = write_gateway_conf(tmp_path, upstream_port=9)
+        src = Path(sacpdp.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        gateway = subprocess.Popen(
+            [sys.executable, "-m", "sacpdp.cli", "serve", str(conf)],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            ready, _, _ = select.select([gateway.stderr], [], [], 20)
+            assert ready, "no stderr line within 20 s"
+            line = gateway.stderr.readline().decode()
+            match = re.fullmatch(r"listening on 127\.0\.0\.1:(\d+), upstream http://127\.0\.0\.1:9\n", line)
+            assert match, line
+            port = int(match.group(1))
+            assert port != 0
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as client, client.makefile("rb") as reader:
+                client.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                assert reader.readline().startswith(b"HTTP/1.1 200 ")
+            gateway.send_signal(signal.SIGTERM)
+            code = gateway.wait(timeout=5)
+        finally:
+            if gateway.poll() is None:
+                gateway.kill()
+                gateway.wait()
+            stderr = gateway.stderr.read()
+            gateway.stderr.close()
+        assert code == 0, stderr
 
     def test_sigterm_stops_cleanly(self, tmp_path):
         # SIGTERM ends the gateway as Ctrl-C does: exit code 0, audit log whole

@@ -2,8 +2,9 @@
 construction it replaced, which is kept here and nowhere else.
 
 * the response template against ``render_xml`` of the response tree;
-* the tree-free request parse against ``parse_root`` plus a walk of the tree,
-  document and error alike;
+* the request parse, whose fast pass takes no tree, against ``parse_root``
+  plus a walk of the tree, document and error alike; each refusal of the fast
+  pass is pinned, and a valid request never takes the slow path;
 * the compiled rule scan against the clause-by-clause traced walk, rule by
   rule, and ``decide`` against evaluating every rule with that walk;
 * a store over graphs kept from an earlier store against one over graphs
@@ -18,12 +19,14 @@ import json
 import random
 from datetime import datetime, timezone
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EHEALTH
 from randgen import random_request_for, random_store
-from sacpdp import ontology
-from sacpdp.ontology import load_ontology, serialize_ontology
+from sacpdp import ontology, xmlio
+from sacpdp.ontology import AttributeDescriptor, load_ontology, serialize_ontology
 from sacpdp.service import _audit_line, _timestamp
 from sacpdp.errors import DocumentError, MissingCategoryError, UnknownElementError
 from sacpdp.pdp import (
@@ -45,6 +48,7 @@ from sacpdp.xmlio import (
     parse_wire_attribute,
     parse_xacml_request,
     required_attr,
+    serialize_xacml_request,
     serialize_xacml_response,
 )
 
@@ -211,7 +215,7 @@ def escape(value: str) -> str:
     cut=st.one_of(st.none(), st.none(), st.none(), st.floats(0, 1)),
     as_bytes=st.booleans(),
 )
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 def test_request_parse_matches_tree_walk(tree, indent, declaration, cut, as_bytes):
     text = ('<?xml version="1.0" encoding="UTF-8"?>\n' if declaration else "") + render(tree, indent)
     if cut is not None:  # truncated XML
@@ -223,6 +227,80 @@ def test_request_parse_matches_tree_walk(tree, indent, declaration, cut, as_byte
 def test_request_parse_matches_tree_walk_on_invalid_utf8():
     data = b'<request><subject id="jo\xffan"/></request>'
     assert outcome(parse_xacml_request, data) == outcome(tree_parse_request, data)
+
+
+# Each reason the fast pass hands a request to the walk, pinned: cases the
+# generator reaches rarely or never (its stray children carry no attributes).
+_SKELETON = (
+    '<{root}>\n<subject id="{subject}">{subject_children}</subject>\n'
+    '<resource id="records/jen">{resource_children}</resource>\n'
+    '{action}<purpose id="treat"/>\n'
+    "<environment>{environment_children}</environment>{extra}\n</{root}>"
+)
+_PARTS = dict(
+    root="request", subject="joan", subject_children="", resource_children="",
+    action='<action id="read"/>\n', environment_children="", extra="",
+)
+_HANDED_TO_THE_WALK = {
+    "req-root": dict(root="req"),
+    "repeated-category": dict(extra='\n<action id="write"/>'),
+    "unknown-category": dict(extra='\n<context id="ward"/>'),
+    "missing-category": dict(action=""),
+    "child-of-resource": dict(resource_children='\n<attribute name="doctor"/>'),
+    "named-non-attribute-in-subject": dict(subject_children='\n<cert name="doctor"/>'),
+    "named-non-attribute-in-environment": dict(environment_children='\n<cert name="age" value="5"/>'),
+    "empty-id": dict(subject=""),
+    "attribute-without-name": dict(subject_children='\n<attribute soa="hospital_ADMIN"/>'),
+    "environment-without-value": dict(environment_children='\n<attribute name="age"/>'),
+    "bad-subject-value": dict(subject_children='\n<attribute name="years" type="int" value="five"/>'),
+    "bad-environment-value": dict(environment_children='\n<attribute name="age" type="bool" value="yes"/>'),
+}
+
+
+@pytest.mark.parametrize("case", _HANDED_TO_THE_WALK)
+def test_each_refusal_of_the_fast_pass_matches_tree_walk(case):
+    text = _SKELETON.format(**{**_PARTS, **_HANDED_TO_THE_WALK[case]})
+    got = outcome(parse_xacml_request, text)
+    assert isinstance(got, tuple)  # refused, with the walk's error and position
+    assert got == outcome(tree_parse_request, text)
+
+
+def random_request_doc(rng: random.Random) -> XacmlRequestDoc:
+    """A valid request document, with markup characters in its ids and
+    typed values on either side."""
+    ids = ["joan", "records/jen", "read", "treat", "a&b", "x<y", 'say "hi"', "é"]
+    values = [5, -2, 2.5, True, False, "day", "a&b"]
+    attributes = tuple(
+        AttributeDescriptor(
+            attribute_id=rng.choice(["c1", name]),
+            name=name,
+            soa_id=rng.choice(["hospital_ADMIN", ""]),
+            equivalence_enabled=rng.random() < 0.5,
+            value=rng.choice([None, *values]),
+        )
+        for name in rng.sample(["doctor", "medic", "years"], rng.randint(0, 3))
+    )
+    return XacmlRequestDoc(
+        subject_id=rng.choice(ids),
+        subject_attributes=attributes,
+        resource_id=rng.choice(ids),
+        action_id=rng.choice(ids),
+        purpose_id=rng.choice(ids),
+        environment={name: rng.choice(values) for name in rng.sample(["age", "consent", "shift"], rng.randint(0, 3))},
+    )
+
+
+def test_valid_requests_never_take_the_walk(monkeypatch):
+    def walk(root):
+        raise AssertionError("a valid request was walked")
+
+    monkeypatch.setattr(xmlio, "_walk_request", walk)
+    for path in sorted((EHEALTH / "requests").glob("*.xml")):
+        parse_xacml_request(path.read_bytes())
+    rng = random.Random(23)
+    for _ in range(200):
+        doc = random_request_doc(rng)
+        assert parse_xacml_request(serialize_xacml_request(doc)) == doc
 
 
 # --- rule scan --------------------------------------------------------------

@@ -11,6 +11,7 @@ from randgen import random_graph
 from sacpdp.errors import (
     CycleDetectedError,
     DanglingReferenceError,
+    DocumentError,
     DuplicateIdError,
     UnknownConceptError,
     UnknownElementError,
@@ -199,8 +200,11 @@ class TestDocumentForm:
         assert err.value.line == 2
 
     def test_missing_attribute_rejected(self):
-        with pytest.raises(UnknownElementError):
-            load_ontology('<ontology kind="SO"><concept/></ontology>')
+        with pytest.raises(DocumentError) as err:
+            load_ontology('<ontology kind="SO">\n  <concept/>\n</ontology>')
+        assert type(err.value) is DocumentError
+        assert err.value.args == ("<concept> is missing required attribute 'id'",)
+        assert (err.value.line, err.value.column) == (2, 2)
 
 
 class TestSubsumptionAgainstOracle:

@@ -32,6 +32,9 @@ from sacpdp.xmlio import parse_xacml_request, parse_xacml_response
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+CONSENT_ATOM = '<Condition attribute="consent" reference="given" type="Equals"/>'
+
+
 def read_audit(path):
     if not path.exists():
         return []
@@ -664,6 +667,14 @@ class TestDecideEndpoint:
         assert (r.status_code, r.text) == (400, message + "\n")
         assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
 
+    def test_deeply_nested_request_400_audited_once(self, gateway):
+        _, base, _, audit_path = gateway
+        body = (EHEALTH / "requests" / "01_doctor_reads_record.xml").read_text(encoding="utf-8")
+        body = body.replace("<request>", "<request>" + "<x>" * 5000 + "</x>" * 5000)
+        r = requests.post(f"{base}/pdp/decide", data=body.encode(), timeout=10)
+        assert (r.status_code, r.text) == (400, "unexpected element <x> in <request> (line 2, column 9)\n")
+        assert [record["decision"] for record in read_audit(audit_path)] == ["error"]
+
     def test_unknown_purpose_400(self, gateway):
         _, base, _, _ = gateway
         body = (
@@ -850,6 +861,37 @@ class TestAdminReload:
             assert (got.value, got.granted_right, got.matched_rule, got.masked, got.explanation[1:]) == (
                 want.value, want.granted_right, want.matched_rule, want.masked, want.explanation[1:]
             )
+
+    @pytest.mark.parametrize(
+        "slot, document, nest, message",
+        [
+            (
+                "ontology/SO",
+                "ehealth_so.xml",
+                lambda text: text.replace('<ontology kind="SO">', '<ontology kind="SO">' + "<x>" * 5000 + "</x>" * 5000),
+                "unexpected element <x> in ontology document (line 2, column 20)",
+            ),
+            (
+                "policy",
+                "ehealth_policy.xml",
+                lambda text: text.replace(
+                    CONSENT_ATOM, '<Condition type="And">' * 599 + CONSENT_ATOM + "</Condition>" * 599
+                ),
+                "<Condition> is nested deeper than 32 levels (line 21, column 710)",
+            ),
+        ],
+        ids=["ontology", "policy"],
+    )
+    def test_deeply_nested_upload_rejected(self, gateway, slot, document, nest, message):
+        _, base, _, audit_path = gateway
+        text = nest((EHEALTH / document).read_text(encoding="utf-8"))
+        r = requests.put(f"{base}/admin/{slot}", data=text.encode(), timeout=10)
+        assert (r.status_code, r.text) == (422, message + "\n")
+        assert requests.get(f"{base}/admin/version", timeout=10).json() == {"version": 1}
+        assert read_audit(audit_path) == []
+        body = (EHEALTH / "requests" / "05_email_with_consent.xml").read_bytes()
+        d = requests.post(f"{base}/pdp/decide", data=body, timeout=10)
+        assert (d.status_code, d.headers["X-Decision"]) == (200, "Permit")
 
     def test_unknown_slot_404(self, gateway):
         _, base, _, _ = gateway

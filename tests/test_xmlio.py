@@ -28,6 +28,7 @@ from sacpdp.policy import ANY_PURPOSE, Atom, Empty, Op
 from sacpdp.registry import parse_registry
 from sacpdp.xmlbase import elem, parse_xml, render_xml
 from sacpdp.xmlio import (
+    MAX_CONDITION_DEPTH,
     XacmlRequestDoc,
     XacmlResponseDoc,
     flag_enabled,
@@ -461,3 +462,43 @@ def test_hostile_attribute_values_raise_only_sac_errors(path, parse):
                 line = text.count("\n", 0, match.start()) + 1
                 escaped.append(f"line {line} {match.group()} -> {value!r}: {exc!r}")
     assert escaped == []
+
+
+# Each reader's own document, with a chain of elements nested 5000 deep as
+# its root's first child: the reader returns, or raises a SacError; the tree
+# build and the schema walk overflow no stack.
+_DEEP_READERS = [
+    *((EHEALTH / f"ehealth_{key}.xml", partial(parse_document, slot)) for slot, (key, _) in SLOTS.items()),
+    (EHEALTH / "requests" / "01_doctor_reads_record.xml", parse_xacml_request),
+    (GOLDEN / "treatment_records_rule.xml", parse_rule),
+    (GOLDEN / "decide_response_01.xml", parse_xacml_response),
+]
+
+
+@pytest.mark.parametrize("path, parse", _DEEP_READERS, ids=[path.name for path, _ in _DEEP_READERS])
+def test_deeply_nested_documents_raise_only_sac_errors(path, parse):
+    text = path.read_text(encoding="utf-8")
+    root = re.search(r"<[^?][^>]*>", text).end()
+    try:
+        parse(text[:root] + "<x>" * 5000 + "</x>" * 5000 + text[root:])
+    except SacError:
+        pass
+
+
+def _condition_chain(depth: int) -> str:
+    # depth - 1 nested <Condition type="And"> around one atom, one per line
+    atom = '<Condition attribute="a" reference="1" type="Equals"/>\n'
+    return '<Condition type="And">\n' * (depth - 1) + atom + "</Condition>\n" * (depth - 1)
+
+
+def test_condition_nesting_is_bounded():
+    parse_rule(f"<rule>\n{_condition_chain(MAX_CONDITION_DEPTH)}</rule>")
+    for depth in (MAX_CONDITION_DEPTH + 1, 600):
+        with pytest.raises(DocumentError) as err:
+            parse_rule(f"<rule>\n{_condition_chain(depth)}</rule>")
+        assert type(err.value) is DocumentError
+        # the first <Condition> too deep, on the line after its 32 parents
+        assert str(err.value) == (
+            f"<Condition> is nested deeper than {MAX_CONDITION_DEPTH} levels "
+            f"(line {MAX_CONDITION_DEPTH + 2}, column 0)"
+        )
