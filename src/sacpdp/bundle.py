@@ -37,7 +37,7 @@ def parse_kv_config(path: Path) -> dict[str, str]:
     """Flat key=value lines; blank lines and #-comments are skipped."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -82,9 +82,10 @@ def load_bundle(path: str | Path) -> Bundle:
     return Bundle(root=base, documents=documents, trusted_soas=trusted, requests_dir=requests_dir)
 
 
-def _read(path: Path) -> str:
+def _read(path: Path) -> bytes:
+    # the readers decode, so a file that is not UTF-8 is a finding, not a crash
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 

@@ -40,10 +40,12 @@ def _config_path(arg: str) -> str:
     return os.environ.get("SACPDP_CONFIG", arg)
 
 
-def _read_text(path: str) -> str:
+def _read_document(path: str) -> bytes | str:
+    """A document's bytes (stdin's text where it has no bytes); the readers
+    decode them, and refuse a document that is not UTF-8."""
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
+    return Path(path).read_bytes()
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -64,7 +66,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     try:
         store, kb = build_store(load_bundle(_config_path(args.config)))
-        wire = parse_xacml_request(_read_text(args.request))
+        wire = parse_xacml_request(_read_document(args.request))
         request, conflicts = build_access_request(wire, kb, store)
     except (SacError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -84,7 +86,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         store, kb = build_store(bundle)
         canned = []
         for path in bundle.request_paths():
-            wire = parse_xacml_request(path.read_text(encoding="utf-8"))
+            wire = parse_xacml_request(path.read_bytes())
             request, _ = build_access_request(wire, kb, store)
             canned.append((path.name, request))
     except (SacError, OSError) as exc:

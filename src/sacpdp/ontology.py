@@ -353,7 +353,13 @@ def equivalent_attributes(graph: OntologyGraph, attr: AttributeDescriptor) -> fr
 #   <arc from="doctor" label="treats" to="patient"/>
 # </ontology>
 
-_EDGE_TAGS = {"isa", "inherits", "equiv", "arc"}
+#: Each edge element's tag and the attributes that name its ends, in order.
+_EDGES = {
+    "isa": ("child", "parent"),
+    "inherits": ("junior", "senior"),
+    "equiv": ("a", "b"),
+    "arc": ("from", "label", "to"),
+}
 
 
 def load_ontology(text: str | bytes) -> OntologyGraph:
@@ -364,27 +370,16 @@ def load_ontology(text: str | bytes) -> OntologyGraph:
         raise WrongOntologyTagError(f"unknown ontology kind {kind!r}")
 
     nodes: dict[str, str] = {}
-    isa: list[tuple] = []
-    inherit: list[tuple] = []
-    equiv: list[tuple] = []
-    arcs: list[tuple] = []
-    for child in root.children:
-        if child.tag in (CONCEPT, INDIVIDUAL):
+    edges: dict[str, list[tuple]] = {tag: [] for tag in _EDGES}
+    for child in xmlbase.each_child(root, many=(CONCEPT, INDIVIDUAL, *_EDGES), where="in ontology document"):
+        if child.tag in _EDGES:
+            edges[child.tag].append(tuple([required_attr(child, name) for name in _EDGES[child.tag]]))
+        else:
             node_id = required_attr(child, "id")
             if node_id in nodes:
                 raise DuplicateIdError(f"node {node_id!r} declared twice")
             nodes[node_id] = child.tag
-        elif child.tag == "isa":
-            isa.append((required_attr(child, "child"), required_attr(child, "parent")))
-        elif child.tag == "inherits":
-            inherit.append((required_attr(child, "junior"), required_attr(child, "senior")))
-        elif child.tag == "equiv":
-            equiv.append((required_attr(child, "a"), required_attr(child, "b")))
-        elif child.tag == "arc":
-            arcs.append((required_attr(child, "from"), required_attr(child, "label"), required_attr(child, "to")))
-        else:
-            raise xmlbase.unexpected(child, "in ontology document")
-    return build_graph(kind, nodes, isa, inherit, equiv, arcs)
+    return build_graph(kind, nodes, edges["isa"], edges["inherits"], edges["equiv"], edges["arc"])
 
 
 def serialize_ontology(graph: OntologyGraph) -> str:

@@ -91,13 +91,11 @@ class KnowledgeBase:
 def _parse_entry(node: xmlbase.XmlNode, concept_kind: str) -> RegistryEntry:
     concepts = []
     attributes = []
-    for child in node.children:
+    for child in xmlbase.each_child(node, many=("concept", "attribute")):
         if child.tag == "concept":
             concepts.append(ConceptRef(concept_kind, required_attr(child, "id")))
-        elif child.tag == "attribute":
-            attributes.append(parse_wire_attribute(child))
         else:
-            raise xmlbase.unexpected(child, f"in <{node.tag}>")
+            attributes.append(parse_wire_attribute(child))
     return RegistryEntry(concepts=tuple(concepts), attributes=tuple(attributes))
 
 
@@ -106,14 +104,14 @@ def parse_registry(text: str | bytes) -> KnowledgeBase:
     subjects: dict[str, RegistryEntry] = {}
     objects: dict[str, RegistryEntry] = {}
     specs: list[ContextAttributeSpec] = []
-    for child in root.children:
+    for child in xmlbase.each_child(root, many=("subject", "object", "context_attribute")):
         if child.tag in ("subject", "object"):
             entries, concept_kind = (subjects, "SO") if child.tag == "subject" else (objects, "OO")
             entry_id = required_attr(child, "id")
             if entry_id in entries:
                 raise DuplicateIdError(f"{child.tag} {entry_id!r} declared twice")
             entries[entry_id] = _parse_entry(child, concept_kind)
-        elif child.tag == "context_attribute":
+        else:
             kind = required_attr(child, "kind")
             if kind == "int":
                 attribute_id = required_attr(child, "id")
@@ -137,8 +135,6 @@ def parse_registry(text: str | bytes) -> KnowledgeBase:
                     child.line,
                     child.column,
                 )
-        else:
-            raise xmlbase.unexpected(child, "in <registry>")
     return KnowledgeBase(subjects=subjects, objects=objects, context_specs=tuple(specs))
 
 

@@ -15,6 +15,10 @@ position as it starts, and as it closes its text is trimmed when it is a
 leaf and dropped when it has children.  No step recurses, so a deeply
 nested document builds like a flat one and is left to the schema checks.
 
+:func:`each_child` holds the one child rule every reader keeps: an element
+takes only the child tags its reader names, each either once or many times,
+and the first child that breaks the rule is refused at its position.
+
 The writer emits one canonical form: XML declaration, two-space indentation,
 attributes sorted by name, text only on leaf elements, LF line endings.  Two
 documents that differ only in attribute order or insignificant whitespace
@@ -45,9 +49,6 @@ class XmlNode:
 
     def get(self, name: str, default: str | None = None) -> str | None:
         return self.attrib.get(name, default)
-
-    def find_all(self, tag: str) -> list["XmlNode"]:
-        return [c for c in self.children if c.tag == tag]
 
     def find(self, tag: str) -> "XmlNode | None":
         for c in self.children:
@@ -157,6 +158,28 @@ def unexpected(child: XmlNode, where: str) -> UnknownElementError:
     return UnknownElementError(
         f"unexpected element <{child.tag}> {where}", child.line, child.column
     )
+
+
+def each_child(node: XmlNode, once=(), many=(), where: str | None = None):
+    """Yield ``node``'s children in document order.  A child whose tag is in
+    neither ``once`` nor ``many`` raises :func:`unexpected` (``where``
+    defaults to ``in <tag>``), and a second child whose tag is in ``once``
+    raises UnknownElementError.  Lazy, so a reader that handles each child
+    as it comes still raises the first fault in document order."""
+    seen: set[str] = set()
+    for child in node.children:
+        tag = child.tag
+        if tag in many:
+            yield child
+        elif tag in once:
+            if tag in seen:
+                raise UnknownElementError(
+                    f"<{node.tag}> has more than one <{tag}>", child.line, child.column
+                )
+            seen.add(tag)
+            yield child
+        else:
+            raise unexpected(child, where or f"in <{node.tag}>")
 
 
 def render_xml(node: XmlNode) -> str:

@@ -14,6 +14,10 @@ default right, the any-purpose marker "n/a", and the empty condition produce
 no element at all.  parse(serialize(x)) is structurally equal to x, and
 serializing twice is byte-identical.
 
+Every reader takes an element's children through xmlbase.each_child, which
+holds the one child rule: the tags a reader names, each once or many times,
+and nothing else.  The readers keep only the field extraction.
+
 The two documents of every decision request take no tree.  A response is
 written from one template that yields the bytes render_xml would write for
 its tree, with the escapes xmlbase uses.  A request is read by a fast pass:
@@ -37,7 +41,6 @@ from .errors import (
     DuplicateRuleNameError,
     MissingCategoryError,
     UnknownConditionTypeError,
-    UnknownElementError,
     UnknownOntologyRefError,
 )
 from .ontology import ONTOLOGY_KINDS, AttributeDescriptor, ConceptRef, WILDCARD_ID
@@ -146,11 +149,11 @@ def _parse_condition(node: XmlNode, depth: int = 1) -> ConditionExpr:
         )
     kind = required_attr(node, "type")
     if kind in _CONNECTIVES:
-        children = []
-        for child in node.children:
-            if child.tag != "Condition":
-                raise xmlbase.unexpected(child, f"inside <Condition type={kind!r}>")
-            children.append(_parse_condition(child, depth + 1))
+        where = f"inside <Condition type={kind!r}>"
+        children = [
+            _parse_condition(child, depth + 1)
+            for child in xmlbase.each_child(node, many=("Condition",), where=where)
+        ]
         if not children:
             raise DocumentError(
                 f"<Condition type={kind!r}> needs at least one child condition",
@@ -166,11 +169,10 @@ def _parse_condition(node: XmlNode, depth: int = 1) -> ConditionExpr:
     attribute = required_attr(node, "attribute")
     value_type = _value_type_of(node)
     if op is Op.IN:
-        members = []
-        for child in node.children:
-            if child.tag != "value":
-                raise xmlbase.unexpected(child, 'inside <Condition type="In">')
-            members.append(parse_scalar(value_type, child.text, child))
+        members = [
+            parse_scalar(value_type, child.text, child)
+            for child in xmlbase.each_child(node, many=("value",), where='inside <Condition type="In">')
+        ]
         if not members:
             raise DocumentError(
                 "<Condition type=\"In\"> needs at least one <value>", node.line, node.column
@@ -232,18 +234,12 @@ def _parse_target(node: XmlNode):
     }
     subject_vars: list[AttributeVariable] = []
     object_vars: list[AttributeVariable] = []
-    seen: set[str] = set()
-    for child in node.children:
+    for child in xmlbase.each_child(node, once=_TARGET_KINDS, many=("AttributeVariable",)):
         if child.tag in _TARGET_KINDS:
-            if child.tag in seen:
-                raise DocumentError(
-                    f"<Target> has more than one <{child.tag}>", child.line, child.column
-                )
-            seen.add(child.tag)
             kind = _TARGET_KINDS[child.tag]
             _check_ontology_ref(child, kind)
             refs[child.tag] = ConceptRef(kind, required_attr(child, "name"))
-        elif child.tag == "AttributeVariable":
+        else:
             _check_ontology_ref(child, "AtO")
             side = required_attr(child, "type")
             if side not in ("subject", "object"):
@@ -254,30 +250,26 @@ def _parse_target(node: XmlNode):
                 )
             var = AttributeVariable(required_attr(child, "name"), side)
             (subject_vars if side == "subject" else object_vars).append(var)
-        else:
-            raise xmlbase.unexpected(child, "in <Target>")
     return refs["Subject"], refs["Object"], refs["Action"], tuple(subject_vars), tuple(object_vars)
 
 
 def _parse_attribute_set(node: XmlNode) -> tuple:
     required = []
-    for child in node.children:
-        if child.tag != "spl:attribute":
-            raise xmlbase.unexpected(child, "in <spl:attribute_Set>")
-        name_el = child.find("spl:attribute_Name")
-        if name_el is None or not name_el.text:
+    for child in xmlbase.each_child(node, many=("spl:attribute",)):
+        parts = {
+            sub.tag: sub.text
+            for sub in xmlbase.each_child(child, once=("spl:attribute_Name", "spl:SOA_ID"))
+        }
+        name = parts.get("spl:attribute_Name")
+        if not name:
             raise DocumentError(
                 "<spl:attribute> needs a <spl:attribute_Name>", child.line, child.column
             )
-        soa_el = child.find("spl:SOA_ID")
-        for sub in child.children:
-            if sub.tag not in ("spl:attribute_Name", "spl:SOA_ID"):
-                raise xmlbase.unexpected(sub, "in <spl:attribute>")
         required.append(
             AttributeDescriptor(
-                attribute_id=child.get("attributeID") or name_el.text,
-                name=name_el.text,
-                soa_id=soa_el.text if soa_el is not None else "",
+                attribute_id=child.get("attributeID") or name,
+                name=name,
+                soa_id=parts.get("spl:SOA_ID", ""),
                 equivalence_enabled=flag_enabled(child.get("e")),
             )
         )
@@ -311,15 +303,7 @@ def _parse_rule_element(node: XmlNode, default_name: str) -> AccessRule:
     purpose = ANY_PURPOSE
     condition: ConditionExpr = EMPTY
     right = DEFAULT_RIGHT
-    seen: set[str] = set()
-    for child in node.children:
-        if child.tag not in _RULE_CHILD_TAGS:
-            raise xmlbase.unexpected(child, f"in <{node.tag}>")
-        if child.tag in seen:
-            raise DocumentError(
-                f"<{node.tag}> has more than one <{child.tag}>", child.line, child.column
-            )
-        seen.add(child.tag)
+    for child in xmlbase.each_child(node, once=_RULE_CHILD_TAGS):
         if child.tag == "spl:attribute_Set":
             required = _parse_attribute_set(child)
         elif child.tag == "Target":
@@ -407,22 +391,13 @@ def _rule_attrs(rule: AccessRule) -> dict[str, str]:
 def parse_policy(text: str | bytes, source: str = "") -> PolicyDocument:
     root = xmlbase.parse_root(text, "spl:policy")
     version = root.get("version", "1")
-    rules_el = None
-    for child in root.children:
-        if child.tag != "spl:access_Rules":
-            raise xmlbase.unexpected(child, "in <spl:policy>")
-        if rules_el is not None:
-            raise DocumentError(
-                "<spl:policy> has more than one <spl:access_Rules>", child.line, child.column
-            )
-        rules_el = child
-    if rules_el is None:
+    # the root's children are all checked before any rule is read
+    found = list(xmlbase.each_child(root, once=("spl:access_Rules",)))
+    if not found:
         raise DocumentError("<spl:policy> has no <spl:access_Rules>", root.line, root.column)
     rules = []
     names: set[str] = set()
-    for index, child in enumerate(rules_el.children):
-        if child.tag != "spl:access_Rule":
-            raise xmlbase.unexpected(child, "in <spl:access_Rules>")
+    for index, child in enumerate(xmlbase.each_child(found[0], many=("spl:access_Rule",))):
         rule = _parse_rule_element(child, default_name=f"rule_{index}")
         if rule.name in names:
             raise DuplicateRuleNameError(
@@ -462,9 +437,7 @@ def serialize_rule(rule: AccessRule) -> str:
 def parse_purposes(text: str | bytes) -> PurposeTree:
     root = xmlbase.parse_root(text, "purposes")
     parents: dict[str, str | None] = {}
-    for child in root.children:
-        if child.tag != "purpose":
-            raise xmlbase.unexpected(child, "in <purposes>")
+    for child in xmlbase.each_child(root, many=("purpose",)):
         pid = required_attr(child, "id")
         if pid in parents:
             raise DuplicateIdError(f"purpose {pid!r} declared twice")
@@ -590,40 +563,28 @@ def _walk_request(root: XmlNode) -> XacmlRequestDoc:
     """A request from its tree.  Raises the first schema finding, checking
     the request's children, then that no category is missing, then the
     subject's and environment's children, then the ids."""
-    seen = set()
-    for child in root.children:
-        if child.tag not in _CATEGORIES:
-            raise xmlbase.unexpected(child, "in <request>")
-        if child.tag in seen:
-            raise UnknownElementError(
-                f"<request> has more than one <{child.tag}>", child.line, child.column
-            )
-        seen.add(child.tag)
-        if child.tag not in ("subject", "environment") and child.children:
-            raise xmlbase.unexpected(child.children[0], f"in <{child.tag}>")
+    found = {}
+    for child in xmlbase.each_child(root, once=_CATEGORIES):
+        found[child.tag] = child
+        if child.tag not in ("subject", "environment"):
+            next(xmlbase.each_child(child), None)  # any child at all is refused
     for category in _CATEGORIES:
-        if category not in seen:
+        if category not in found:
             raise MissingCategoryError(
                 f"request is missing the {category} category", root.line, root.column
             )
-    subject = root.find("subject")
-    attributes = []
-    for child in subject.children:
-        if child.tag != "attribute":
-            raise xmlbase.unexpected(child, "in <subject>")
-        attributes.append(parse_wire_attribute(child))
+    subject = found["subject"]
+    attributes = [parse_wire_attribute(child) for child in xmlbase.each_child(subject, many=("attribute",))]
     environment = {}
-    for child in root.find("environment").children:
-        if child.tag != "attribute":
-            raise xmlbase.unexpected(child, "in <environment>")
+    for child in xmlbase.each_child(found["environment"], many=("attribute",)):
         name = required_attr(child, "name")
         environment[name] = parse_scalar(child.get("type", "string"), required_attr(child, "value"), child)
     return XacmlRequestDoc(
         subject_id=required_attr(subject, "id"),
         subject_attributes=tuple(attributes),
-        resource_id=required_attr(root.find("resource"), "id"),
-        action_id=required_attr(root.find("action"), "id"),
-        purpose_id=required_attr(root.find("purpose"), "id"),
+        resource_id=required_attr(found["resource"], "id"),
+        action_id=required_attr(found["action"], "id"),
+        purpose_id=required_attr(found["purpose"], "id"),
         environment=environment,
     )
 
@@ -748,16 +709,20 @@ def _leaf(pad: str, tag: str, text: str) -> str:
 
 def parse_xacml_response(text: str | bytes) -> XacmlResponseDoc:
     root = xmlbase.parse_root(text, "response")
-    decision = root.find("decision")
-    status = root.find("status")
+    parts = {}
+    trace = ()
+    for child in xmlbase.each_child(root, once=("decision", "status", "right", "rule", "trace")):
+        parts[child.tag] = child
+        if child.tag == "trace":
+            trace = tuple(entry.text for entry in xmlbase.each_child(child, many=("entry",)))
+    decision = parts.get("decision")
+    status = parts.get("status")
     if decision is None or not decision.text:
         raise MissingCategoryError("response has no decision", root.line, root.column)
     if status is None:
         raise MissingCategoryError("response has no status", root.line, root.column)
-    right = root.find("right")
-    rule = root.find("rule")
-    trace_el = root.find("trace")
-    trace = tuple(e.text for e in trace_el.find_all("entry")) if trace_el is not None else ()
+    right = parts.get("right")
+    rule = parts.get("rule")
     return XacmlResponseDoc(
         decision=decision.text,
         status=status.text,

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import select
+import shutil
 import signal
 import socket
 import subprocess
@@ -100,6 +101,18 @@ def broken_bundle(tmp_path):
     return conf
 
 
+# a well-formed document but for one byte that is not UTF-8
+NOT_UTF8 = b'<?xml version="1.0" encoding="UTF-8"?>\n<purposes>\xff</purposes>\n'
+
+
+def not_utf8_bundle(tmp_path):
+    """The e-health bundle with its purpose tree replaced by NOT_UTF8."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(EHEALTH, bundle)
+    (bundle / "ehealth_purposes.xml").write_bytes(NOT_UTF8)
+    return bundle
+
+
 class TestValidate:
     def test_clean_bundle(self, capsys):
         assert main(["validate", str(EHEALTH)]) == 0
@@ -120,6 +133,20 @@ class TestValidate:
         monkeypatch.setenv("SACPDP_CONFIG", str(EHEALTH))
         assert main(["validate", str(tmp_path / "nope.conf")]) == 0
         assert "ok:" in capsys.readouterr().out
+
+    def test_document_not_utf8_is_a_finding(self, tmp_path, capsys):
+        assert main(["validate", str(not_utf8_bundle(tmp_path))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("ehealth_purposes.xml: not valid UTF-8: ")
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        conf = tmp_path / "bundle.conf"
+        conf.write_bytes(b"so = \xff\n")
+        assert main(["validate", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read config {conf}: ")
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestDecide:
@@ -160,6 +187,19 @@ class TestDecide:
         bad.write_text("<request><subject", encoding="utf-8")
         assert main(["decide", str(EHEALTH), str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_request_not_utf8(self, source, tmp_path, monkeypatch, capsys):
+        text = b'<request><subject id="jo\xffan"/></request>'
+        path = tmp_path / "req.xml"
+        path.write_bytes(text)
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text), encoding="utf-8"))
+        assert main(["decide", str(EHEALTH), "-" if source == "stdin" else str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid UTF-8: ")
+        assert "Traceback" not in captured.err
 
     def test_unknown_purpose_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "req.xml"
@@ -210,6 +250,14 @@ class TestServe:
     def test_bad_config(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.conf")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_document_not_utf8(self, tmp_path, capsys):
+        conf = write_gateway_conf(tmp_path, upstream_port=9, bundle_dir=not_utf8_bundle(tmp_path))
+        assert main(["serve", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ehealth_purposes.xml: not valid UTF-8: ")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "audit.jsonl").exists()
 
     def test_audit_log_that_cannot_be_opened(self, tmp_path, capsys):
         # the log's directory would be a regular file

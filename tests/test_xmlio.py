@@ -420,6 +420,49 @@ _DOCUMENT_ERRORS = [
     (parse_registry,
      '<registry>\n  <object id="x">\n    <concept id="y"/>\n    <owner/>\n  </object>\n</registry>',
      "unexpected element <owner> in <object> (line 4, column 4)", 4),
+    # a stray child after <spl:access_Rules>, with and without a faulty rule
+    # before it: every child of the root is checked before any rule is read
+    (parse_policy, "<spl:policy>\n  <spl:access_Rules/>\n  <spl:rules/>\n</spl:policy>",
+     "unexpected element <spl:rules> in <spl:policy> (line 3, column 2)", 3),
+    (parse_policy, "<spl:policy>\n  <spl:access_Rules><rule/></spl:access_Rules>\n  <spl:rules/>\n</spl:policy>",
+     "unexpected element <spl:rules> in <spl:policy> (line 3, column 2)", 3),
+    (parse_policy, "<spl:policy>\n  <spl:access_Rules/>\n  <spl:access_Rules/>\n</spl:policy>",
+     "<spl:policy> has more than one <spl:access_Rules> (line 3, column 2)", 3),
+    (parse_policy,
+     '<spl:policy><spl:access_Rules>\n  <spl:access_Rule>\n    <Right type="a"/>\n    <Right type="b"/>\n'
+     "  </spl:access_Rule>\n</spl:access_Rules></spl:policy>",
+     "<spl:access_Rule> has more than one <Right> (line 4, column 4)", 4),
+    (parse_rule, "<rule>\n  <Target/>\n  <Target/>\n</rule>",
+     "<rule> has more than one <Target> (line 3, column 2)", 3),
+    (parse_rule, '<rule>\n  <Target>\n    <Subject name="a"/>\n    <Subject name="b"/>\n  </Target>\n</rule>',
+     "<Target> has more than one <Subject> (line 4, column 4)", 4),
+    # an <spl:attribute> with its name or its issuer twice
+    (parse_rule,
+     "<rule><spl:attribute_Set>\n  <spl:attribute>\n    <spl:attribute_Name>a</spl:attribute_Name>\n"
+     "    <spl:attribute_Name>b</spl:attribute_Name>\n  </spl:attribute>\n</spl:attribute_Set></rule>",
+     "<spl:attribute> has more than one <spl:attribute_Name> (line 4, column 4)", 4),
+    (parse_rule,
+     "<rule><spl:attribute_Set>\n  <spl:attribute>\n    <spl:attribute_Name>a</spl:attribute_Name>\n"
+     "    <spl:SOA_ID>x</spl:SOA_ID>\n    <spl:SOA_ID>y</spl:SOA_ID>\n  </spl:attribute>\n</spl:attribute_Set></rule>",
+     "<spl:attribute> has more than one <spl:SOA_ID> (line 5, column 4)", 5),
+    (parse_xacml_request,
+     '<request>\n<subject id="joan"/>\n<subject id="mallory"/>\n'
+     '<resource id="r"/><action id="a"/><purpose id="p"/><environment/>\n</request>',
+     "<request> has more than one <subject> (line 3, column 0)", 3),
+    (parse_xacml_request,
+     '<request>\n<subject id="s"/>\n<resource id="r"/><action id="a"/><purpose id="p">\n<x/></purpose>\n'
+     "<environment/>\n</request>",
+     "unexpected element <x> in <purpose> (line 4, column 0)", 4),
+    (parse_xacml_response,
+     "<response>\n  <decision>Permit</decision>\n  <decision>Deny</decision>\n  <status>ok</status>\n</response>",
+     "<response> has more than one <decision> (line 3, column 2)", 3),
+    (parse_xacml_response,
+     "<response>\n  <decision>Permit</decision>\n  <status>ok</status>\n  <bogus/>\n</response>",
+     "unexpected element <bogus> in <response> (line 4, column 2)", 4),
+    (parse_xacml_response,
+     "<response>\n  <decision>Permit</decision>\n  <status>ok</status>\n  <trace>\n"
+     "    <entry>x</entry>\n    <note>y</note>\n  </trace>\n</response>",
+     "unexpected element <note> in <trace> (line 6, column 4)", 6),
 ]
 
 
