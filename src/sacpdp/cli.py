@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from pathlib import Path
 
 from .bundle import build_store, load_bundle, validate_bundle
 from .errors import SacError
-from .gen import decision_fingerprint, run_differential
 from .pdp import DecisionValue, decide, explain
 from .registry import build_access_request
 from .service import Gateway, load_gateway_config
@@ -81,6 +79,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    import random
+
+    from .gen import decision_fingerprint, run_differential  # here alone: no other command needs the oracle
+
     try:
         bundle = load_bundle(_config_path(args.config))
         store, kb = build_store(bundle)

@@ -5,12 +5,15 @@ is turned into an access request, decided against the active store, and only
 forwarded upstream on Permit.  POST /pdp/decide answers wire requests directly.
 PUT /admin/... swaps one document at a time; the whole assembly is revalidated
 and the swap is atomic, so concurrent decisions always see one consistent
-store version.
+store version.  A /pdp/decide answer is kept for its byte-identical body and
+reused, unparsed and undecided but audited again, while the store that made
+it stays active: every swap drops the map, which holds at most ANSWER_BYTES.
 
 One asyncio event loop serves every client connection and every upstream
-exchange, and each connection is one ``asyncio.Protocol`` that frames what
-it reads from its own buffer.  A client connection answers /pdp/decide,
-/healthz, /admin/version, every refusal and every 4xx/5xx at once, inside
+exchange, and each connection is one ``asyncio.BufferedProtocol`` that
+reads into the gateway's one read buffer and frames what it read from its
+own buffer.  A client connection answers /pdp/decide, /healthz,
+/admin/version, every refusal and every 4xx/5xx at once, inside
 ``data_received``.  A Permit is written to the client connection's kept-alive
 upstream connection, and the upstream connection relays the answer from its
 own ``data_received`` once the answer is complete: no task, future or
@@ -43,6 +46,7 @@ from functools import lru_cache
 from http import HTTPStatus
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from .bundle import (
@@ -103,6 +107,8 @@ HEAD_LIMIT = 64 * 1024  # bytes in a request head
 BODY_LIMIT = 8 * 1024 * 1024  # bytes a request body may declare
 MAX_FIELDS = 100  # header lines in a request head
 UPSTREAM_TIMEOUT = 10  # seconds to connect, and for each upstream exchange
+ANSWER_BYTES = 1024 * 1024  # body and response bytes kept per store version
+READ_SIZE = 256 * 1024  # bytes one socket read may take, as asyncio reads by default
 
 _TOKEN = r"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
 _REQUEST_LINE = re.compile(rf"({_TOKEN}) ([^\x00-\x20\x7f]+) HTTP/(\d)(?:\.(\d))?")
@@ -255,6 +261,44 @@ def _dot_segment(object_id: str) -> str | None:
     return None
 
 
+class Outcome(NamedTuple):
+    """What the audit record of a decided request says, less its time: the
+    ids the request named, the decision and its masking, the matched rule
+    (None when masked) and the registry conflicts."""
+
+    subject: str | None
+    object: str | None
+    action: str | None
+    purpose: str | None
+    decision: str
+    masked: bool
+    matched_rule: str | None
+    conflicts: tuple
+
+
+class AnswerMap(dict):
+    """The /pdp/decide answers one store version made: request body bytes to
+    (Outcome, response bytes).  It holds at most ANSWER_BYTES of bodies and
+    responses together: an insert that would pass the bound empties the map
+    first, and a pair over the bound is never kept."""
+
+    __slots__ = ("size",)
+
+    def __init__(self):
+        super().__init__()
+        self.size = 0
+
+    def keep(self, body: bytes, outcome: Outcome, response: bytes) -> None:
+        size = len(body) + len(response)
+        if size > ANSWER_BYTES:
+            return
+        if self.size + size > ANSWER_BYTES:
+            self.clear()
+            self.size = 0
+        self[body] = (outcome, response)
+        self.size += size
+
+
 class Headers:
     """The fields of one head: ``items`` in arrival order, looked up by a
     lower-case name in any case; repeated fields keep every value.  A head
@@ -328,7 +372,7 @@ def _end_to_end(headers: Headers, dropped: frozenset) -> list[tuple[str, str]]:
     return [field for field, name in zip(headers.items, headers.names) if name not in dropped and name not in named]
 
 
-class UpstreamConnection(asyncio.Protocol):
+class UpstreamConnection(asyncio.BufferedProtocol):
     """One kept-alive connection from a client connection to the upstream.
 
     It carries one exchange at a time, and frames each answer from its own
@@ -358,6 +402,7 @@ class UpstreamConnection(asyncio.Protocol):
 
     def __init__(self, client: ClientConnection, method: str, request: bytes):
         self.client = client
+        self.reads = client.gateway.reads
         self.buffer = bytearray()
         self.method, self.request = method, request
 
@@ -403,6 +448,12 @@ class UpstreamConnection(asyncio.Protocol):
             return
         transport.write(self.request)
         self._time()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.reads
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self.reads[:nbytes])
 
     def data_received(self, data: bytes) -> None:
         self.buffer += data
@@ -563,13 +614,15 @@ class UpstreamConnection(asyncio.Protocol):
 
 
 class Gateway:
-    """Holds the active (store, knowledge base) snapshot and the audit stream."""
+    """Holds the active (store, knowledge base, answer map) snapshot and the
+    audit stream."""
 
     def __init__(self, config: GatewayConfig):
         self.config = config
         store, kb = build_store(config.bundle)
-        # One tuple attribute so readers always see a matched pair.
-        self._state: tuple[PolicyStore, KnowledgeBase] = (store, kb)
+        # One tuple attribute so readers always see a matched store and
+        # knowledge base, and the answers made from that store alone.
+        self._state: tuple[PolicyStore, KnowledgeBase, AnswerMap] = (store, kb, AnswerMap())
         self._swap_lock = threading.Lock()
         self._audit_lock = threading.Lock()
         config.audit_log.parent.mkdir(parents=True, exist_ok=True)
@@ -583,11 +636,14 @@ class Gateway:
         self._connections: set[ClientConnection] = set()
         self._thread: threading.Thread | None = None
         self._stopping: Future | None = None  # set by stop(), from any thread
+        # Every connection reads into this one buffer, and copies what it
+        # read out at once, on the one loop thread: no read allocates.
+        self.reads = memoryview(bytearray(READ_SIZE))
 
     # -- state ---------------------------------------------------------------
 
     def snapshot(self) -> tuple[PolicyStore, KnowledgeBase]:
-        return self._state
+        return self._state[:2]
 
     @property
     def version(self) -> int:
@@ -603,7 +659,7 @@ class Gateway:
         if slot not in SLOTS:
             raise ActivationError([f"unknown admin slot {slot!r}"])
         with self._swap_lock:
-            store, kb = self._state
+            store, kb, _ = self._state
             docs = {**store.graphs, "purposes": store.purposes, "policy": store.policy, "registry": kb}
             try:
                 docs[slot] = parse_document(slot, text, source="admin upload")
@@ -612,7 +668,7 @@ class Gateway:
             findings, candidate = assemble(docs, store.trusted_soas, version=store.version + 1)
             if findings or candidate is None:
                 raise ActivationError(findings or ["activation failed"])
-            self._state = (candidate, docs["registry"])
+            self._state = (candidate, docs["registry"], AnswerMap())
             return candidate.version
 
     # -- audit ---------------------------------------------------------------
@@ -685,7 +741,7 @@ class Gateway:
         # asyncio.run then joins the worker threads of the swaps in flight
 
 
-class ClientConnection(asyncio.Protocol):
+class ClientConnection(asyncio.BufferedProtocol):
     """One client connection: it answers its requests in turn and owns its
     upstream connection.
 
@@ -710,6 +766,7 @@ class ClientConnection(asyncio.Protocol):
     busy = False  # the current request is answered from a callback
     upstream: UpstreamConnection | None = None
     pending: tuple[int, int] | None = None  # body offset and length of a head taken
+    scanned = 0  # buffer bytes already searched for the end of the next head
     eof = ended = reading_paused = False
     writable = True
 
@@ -728,6 +785,12 @@ class ClientConnection(asyncio.Protocol):
         self.gateway._connections.discard(self)
         if self.upstream is not None:
             self.upstream.close()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.gateway.reads
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self.gateway.reads[:nbytes])
 
     def data_received(self, data: bytes) -> None:
         self.buffer += data
@@ -780,13 +843,20 @@ class ClientConnection(asyncio.Protocol):
         while its bytes have not all arrived."""
         buffer = self.buffer
         if self.pending is None:
-            end = buffer.find(b"\r\n\r\n")
+            # a head that arrives in pieces is searched once: only the new
+            # bytes, and the 3 before them that may start its end
+            scanned, self.scanned = self.scanned, len(buffer)
+            end = buffer.find(b"\r\n\r\n", max(scanned - 3, 0))
             if end < 0:
                 if len(buffer) - 3 > HEAD_LIMIT:
                     raise RequestError(431, f"request head over {HEAD_LIMIT} bytes")
-                if buffer.count(b"\n") != buffer.count(b"\r\n"):
-                    raise RequestError(400, "request head lines must end in CRLF")
+                lf = buffer.find(b"\n", scanned)
+                while lf >= 0:
+                    if buffer[lf - 1 : lf] != b"\r":  # the CR may have come in an earlier read
+                        raise RequestError(400, "request head lines must end in CRLF")
+                    lf = buffer.find(b"\n", lf + 1)
                 return False
+            self.scanned = 0
             if end > HEAD_LIMIT:
                 raise RequestError(431, f"request head over {HEAD_LIMIT} bytes")
             self.method, self.target, http10, self.headers = _parse_head(buffer[:end])
@@ -944,15 +1014,24 @@ class ClientConnection(asyncio.Protocol):
         self._resume()
 
     def _pdp_decide(self) -> None:
+        """Answers a wire request.  A body the active store answered before
+        is answered from that store's answer map: audited again, but not
+        parsed, resolved, decided or serialized.  A refusal is never kept."""
         body = self._body()
-        try:
-            wire = parse_xacml_request(body)
-        except (SacError, ValueError) as exc:
-            raise RequestError(400, str(exc)) from exc
-        decision = self._decide(wire, (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id))
-        doc = response_doc_for(decision)
-        body = serialize_xacml_response(doc).encode("utf-8")
-        self._send(200, body, "application/xml", [("X-Decision", decision.value.value)])
+        state = self.gateway._state  # the one snapshot this request sees
+        kept = state[2].get(body)
+        if kept is None:
+            try:
+                wire = parse_xacml_request(body)
+            except (SacError, ValueError) as exc:
+                raise RequestError(400, str(exc)) from exc
+            decision, outcome = self._decide(wire, state)
+            response = serialize_xacml_response(response_doc_for(decision)).encode("utf-8")
+            state[2].keep(body, outcome, response)
+        else:
+            outcome, response = kept
+            self._decide(None, state, outcome)
+        self._send(200, response, "application/xml", [("X-Decision", outcome.decision)])
 
     def _proxy(self, method: str, parts) -> None:
         """Decides a /proxy request, and forwards a Permit; a request that
@@ -995,7 +1074,7 @@ class ClientConnection(asyncio.Protocol):
             purpose_id=purpose,
             environment=environment,
         )
-        decision = self._decide(wire, (subject_id, object_id, action_id, purpose))
+        decision, _ = self._decide(wire, self.gateway._state)
 
         if decision.value is not DecisionValue.PERMIT:
             # masked refusals must be byte-exact "access denied", so no newline here
@@ -1010,18 +1089,30 @@ class ClientConnection(asyncio.Protocol):
             target += f"?{parts.query}"
         self._forward(method, target, body, _end_to_end(self.headers, NOT_FORWARDED))
 
-    def _decide(self, wire: XacmlRequestDoc, ids: tuple) -> Decision:
-        """Decides ``wire`` against the active snapshot and audits the
-        decision with ``ids`` (subject, object, action, purpose).  An unknown
-        purpose raises RequestError(400) with ``ids``."""
-        store, kb = self.gateway.snapshot()
-        try:
-            request, conflicts = build_access_request(wire, kb, store)
-        except UnknownPurposeError as exc:
-            raise RequestError(400, str(exc), ids) from exc
-        decision = decide(store, request)
-        self._audit(*ids, decision, conflicts)
-        return decision
+    def _decide(
+        self, wire: XacmlRequestDoc | None, state: tuple, kept: Outcome | None = None
+    ) -> tuple[Decision | None, Outcome]:
+        """Decides ``wire`` against the store and knowledge base of
+        ``state``, a gateway snapshot, and audits the decision; returns it
+        with its Outcome.  Given ``kept``, the Outcome of an identical
+        request that the store of ``state`` decided, it audits that again and
+        decides nothing (the decision returned is None).  An unknown purpose
+        raises RequestError(400) with the ids the request named."""
+        decision = None
+        if kept is None:
+            store, kb, _ = state
+            ids = (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id)
+            try:
+                request, conflicts = build_access_request(wire, kb, store)
+            except UnknownPurposeError as exc:
+                raise RequestError(400, str(exc), ids) from exc
+            decision = decide(store, request)
+            masked = decision.masked
+            kept = Outcome(
+                *ids, decision.value.value, masked, None if masked else decision.matched_rule, tuple(conflicts)
+            )
+        self._audit(*kept)
+        return decision, kept
 
     # -- forwards ------------------------------------------------------------
 
@@ -1065,18 +1156,20 @@ class ClientConnection(asyncio.Protocol):
 
     # -- audit records -------------------------------------------------------
 
-    def _audit(self, subject, obj, action, purpose, decision: Decision | None = None, conflicts=()) -> None:
-        """Write one audit record; without a decision, the request is recorded
-        as an ``error`` (refused before it could be decided).  A write that
-        fails raises AuditError."""
+    def _audit(
+        self, subject, obj, action, purpose, decision="error", masked=False, matched_rule=None, conflicts=()
+    ) -> None:
+        """Write one audit record, the fields of an Outcome; without a
+        decision, the request is recorded as an ``error`` (refused before it
+        could be decided).  A write that fails raises AuditError."""
         record = {
             "subject": subject,
             "object": obj,
             "action": action,
             "purpose": purpose,
-            "decision": "error" if decision is None else decision.value.value,
-            "masked": decision is not None and decision.masked,
-            "matched_rule": None if decision is None or decision.masked else decision.matched_rule,
+            "decision": decision,
+            "masked": masked,
+            "matched_rule": matched_rule,
             "conflicts": conflicts,
             "latency_ms": round((time.monotonic() - self.started) * 1000, 3),
             "ts": _timestamp(time.time_ns()),

@@ -347,3 +347,40 @@ class TestServe:
         assert code == 0, stderr
         lines = (tmp_path / "audit.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["decision"] for line in lines] == ["Permit"]
+
+
+class TestImports:
+    """The package resolves its public names on first use, so the gateway's
+    command line imports neither the oracle nor the request generator."""
+
+    @staticmethod
+    def run_python(code: str) -> str:
+        src = Path(sacpdp.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_cli_imports_neither_oracle_nor_gen(self):
+        out = self.run_python(
+            "import sys, sacpdp.cli\n"
+            "print(sorted(name for name in ('sacpdp.oracle', 'sacpdp.gen') if name in sys.modules))\n"
+        )
+        assert out == "[]\n"
+
+    def test_every_public_name_imports(self):
+        out = self.run_python(
+            "import sacpdp\n"
+            "from sacpdp import oracle_decide\n"
+            "from sacpdp import *\n"
+            "names = sacpdp.__all__\n"
+            "assert all(globals()[name] is getattr(sacpdp, name) for name in names)\n"
+            "assert set(names) <= set(dir(sacpdp))\n"
+            "assert oracle_decide.__module__ == 'sacpdp.oracle'\n"
+            "print(len(names))\n"
+        )
+        assert int(out) == len(sacpdp.__all__) > 50
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            sacpdp.no_such_name  # noqa: B018

@@ -11,23 +11,34 @@ import shutil
 import socket
 import statistics
 import struct
+import tempfile
 import threading
 import time
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EHEALTH, GOLDEN, write_gateway_conf
-from randgen import random_request_for
+from randgen import TRUSTED, random_request_for, random_store
 from sacpdp import ontology, pdp, service
 from sacpdp.bundle import build_store, load_bundle
 from sacpdp.cli import main
 from sacpdp.errors import ConfigError
 from sacpdp.ontology import load_ontology, serialize_ontology
-from sacpdp.registry import build_access_request
+from sacpdp.registry import KnowledgeBase, RegistryEntry, build_access_request, serialize_registry
 from sacpdp.service import ClientConnection, Gateway, _parse_context_header, load_gateway_config
-from sacpdp.xmlio import parse_xacml_request, parse_xacml_response
+from sacpdp.xmlio import (
+    XacmlRequestDoc,
+    parse_xacml_request,
+    parse_xacml_response,
+    serialize_policy,
+    serialize_purposes,
+    serialize_xacml_request,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -1656,3 +1667,272 @@ def test_permit_forwards_leave_no_cyclic_garbage(tmp_path, monkeypatch):
     assert garbage == 0
     assert answers == [200] * 10 * len(permits)
     assert (sum(stats["hits"].values()), stats["connections"]) == (1 + 10 * len(permits), 1)
+
+
+def in_process(gw) -> tuple[ClientConnection, DiscardingTransport]:
+    """A client connection of ``gw`` whose transport keeps what is written."""
+    transport = DiscardingTransport()
+    connection = ClientConnection(gw)
+    connection.connection_made(transport)
+    return connection, transport
+
+
+def answer_bytes(gw, pieces) -> bytes:
+    """What a fresh in-process connection writes when each of ``pieces``
+    arrives in its own data_received."""
+    connection, transport = in_process(gw)
+    for piece in pieces:
+        connection.data_received(piece)
+    connection.connection_lost(None)  # the gateway lets go of it and its buffer
+    return b"".join(transport.written)
+
+
+# A decide with its body followed by a health probe; a head whose lines end
+# in LF alone; a head over 64 KiB.
+HEADS = {
+    "head-and-body": DECIDE_HEAD.encode() + b"\r\n" + DECIDE_BODY + b"GET /healthz HTTP/1.1\r\nHost: gw\r\n\r\n",
+    "bare-lf": b"GET /healthz HTTP/1.1\nHost: gw\n\n",
+    "head-over-64k": b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * service.HEAD_LIMIT + b"\r\n\r\n",
+}
+
+
+class TestHeadInPieces:
+    @pytest.mark.parametrize(
+        "name, answered",
+        [("head-and-body", [200, 200]), ("bare-lf", [400]), ("head-over-64k", [431])],
+    )
+    def test_every_cut_answers_as_whole(self, tmp_path, name, answered):
+        # a head searched only in its new bytes gives the answer of the head
+        # sent whole, wherever it is cut: a CRLF or the CRLFCRLF that ends
+        # the head may be split across two reads
+        data = HEADS[name]
+        gw = Gateway(load_gateway_config(write_gateway_conf(tmp_path, 9)))
+        try:
+            whole = answer_bytes(gw, [data])
+            view = memoryview(data)
+            differ = [k for k in range(1, len(data)) if answer_bytes(gw, [view[:k], view[k:]]) != whole]
+            byte_by_byte = answer_bytes(gw, [data[k : k + 1] for k in range(len(data))])
+        finally:
+            gw.stop()
+        assert statuses(whole) == answered
+        assert differ == []
+        assert byte_by_byte == whole
+
+
+def write_random_bundle(root: Path, rng: random.Random, count: int = 6) -> list[bytes]:
+    """Writes a bundle of a randgen store to ``root``, whose registry holds
+    the subject and object concepts of ``count`` random requests on it, and
+    the configs ``kept.conf`` and ``fresh.conf`` of two gateways on it;
+    returns the bodies of those requests."""
+    store = random_store(rng)
+    asks = [random_request_for(rng, store) for _ in range(count)]
+
+    def entry(concepts) -> RegistryEntry:
+        return RegistryEntry(concepts=tuple(sorted((c for c in concepts if c.id != "ghost"), key=attrgetter("id"))))
+
+    kb = KnowledgeBase(
+        subjects={f"u{k}": entry(ask.subject_concepts) for k, ask in enumerate(asks)},
+        objects={f"r{k}": entry(ask.object_concepts) for k, ask in enumerate(asks)},
+    )
+    documents = {kind.lower(): serialize_ontology(store.graphs[kind]) for kind in ontology.ONTOLOGY_KINDS}
+    documents.update(
+        purposes=serialize_purposes(store.purposes), policy=serialize_policy(store.policy), registry=serialize_registry(kb)
+    )
+    lines = [f"trusted_soas = {' '.join(TRUSTED)}", "listen = 127.0.0.1:0", "upstream = http://127.0.0.1:9"]
+    for key, text in documents.items():
+        (root / f"{key}.xml").write_text(text, encoding="utf-8")
+        lines.append(f"{key} = {root / key}.xml")
+    for name in ("kept", "fresh"):
+        (root / f"{name}.conf").write_text("\n".join(lines + [f"audit_log = {root / name}.jsonl"]) + "\n", encoding="utf-8")
+    wires = [
+        XacmlRequestDoc(f"u{k}", ask.presented_attributes, f"r{k}", ask.action.id, ask.purpose, ask.context)
+        for k, ask in enumerate(asks)
+    ]
+    return [serialize_xacml_request(wire).encode("utf-8") for wire in wires]
+
+
+def decide_request(body: bytes) -> bytes:
+    return b"POST /pdp/decide HTTP/1.1\r\nHost: gw\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+def without_time(records: list[dict]) -> list[dict]:
+    return [{key: value for key, value in record.items() if key not in ("ts", "latency_ms")} for record in records]
+
+
+FLIPPED_POLICY = (
+    (EHEALTH / "ehealth_policy.xml")
+    .read_text(encoding="utf-8")
+    .replace('Priority="9" Public="false"', 'Priority="9" Public="true"')
+    .replace('reference="3"', 'reference="9"')
+)
+
+
+class TestAnswerMap:
+    """A /pdp/decide answer is kept for its byte-identical body while the
+    store that made it is active."""
+
+    @pytest.mark.parametrize(
+        "slot, document, decision",
+        [
+            ("policy", FLIPPED_POLICY, "Deny"),  # joan's 5 years no longer reach 9
+            ("registry", (EHEALTH / "ehealth_registry.xml").read_text(encoding="utf-8").replace(
+                '<subject id="joan">', '<subject id="joan_old">'
+            ), "NotApplicable"),
+            ("purposes", (EHEALTH / "ehealth_purposes.xml").read_text(encoding="utf-8"), "Permit"),
+            ("ontology/SO", (EHEALTH / "ehealth_so.xml").read_text(encoding="utf-8"), "Permit"),
+            ("ontology/OO", (EHEALTH / "ehealth_oo.xml").read_text(encoding="utf-8"), "Permit"),
+            ("ontology/AO", (EHEALTH / "ehealth_ao.xml").read_text(encoding="utf-8"), "Permit"),
+            ("ontology/AtO", (EHEALTH / "ehealth_ato.xml").read_text(encoding="utf-8"), "Permit"),
+        ],
+        ids=["policy", "registry", "purposes", "SO", "OO", "AO", "AtO"],
+    )
+    def test_no_answer_outlives_its_store(self, gateway, slot, document, decision):
+        # whichever slot a 200 swaps, the next answer to the same body is
+        # decided by the new store: its decision and its store version say so
+        gw, _, _, _ = gateway
+        request = decide_request(DECIDE_BODY)
+        upload = document.encode()
+        with KeepAlive(gw.bound_port) as client:
+            first = client.exchange(request)
+            assert client.exchange(request) == first
+            assert first[1]["x-decision"] == "Permit"
+            assert parse_xacml_response(first[2]).trace[0] == "store version 1"
+            put = f"PUT /admin/{slot} HTTP/1.1\r\nHost: gw\r\nContent-Length: {len(upload)}\r\n\r\n".encode()
+            status, _, body = client.exchange(put + upload)
+            assert (status, json.loads(body)) == (200, {"version": 2})
+            swapped = client.exchange(request)
+            assert client.exchange(request) == swapped
+        doc = parse_xacml_response(swapped[2])
+        assert (swapped[1]["x-decision"], doc.decision, doc.trace[0]) == (decision, decision, "store version 2")
+
+    def test_each_repeat_is_audited_with_its_own_time(self, gateway):
+        gw, _, _, audit_path = gateway
+        request = decide_request(DECIDE_BODY)
+        answers = []
+        with KeepAlive(gw.bound_port) as client:
+            for count in range(1, 6):
+                answers.append(client.exchange(request))
+                assert len(read_audit(audit_path)) == count  # flushed before the answer
+                time.sleep(0.003)  # past the millisecond the record's ts counts in
+        assert answers == [answers[0]] * 5
+        records = read_audit(audit_path)
+        stamps = [record["ts"] for record in records]
+        assert stamps == sorted(set(stamps))
+        assert all(record["latency_ms"] >= 0 for record in records)
+        assert without_time(records) == [
+            {"action": "read", "decision": "Permit", "masked": False, "matched_rule": "Read_patient_records",
+             "object": "records/jen", "purpose": "treat", "subject": "joan"}
+        ] * 5
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, message",
+        [
+            (decide_request(b"<request><broken"), 400, None),
+            (decide_request(DECIDE_BODY.replace(b'"joan"', b'"jo\xffan"')), 400, b"not valid UTF-8"),
+            (decide_request(DECIDE_BODY.replace(b"<environment>", b"<environment><x/>")), 400, b"unexpected element <x>"),
+            (decide_request(DECIDE_BODY.replace(b'"treat"', b'"bake"')), 400, b"unknown purpose 'bake'"),
+            (DECIDE_HEAD.encode() + b"Content-Length: 1\r\n\r\n" + DECIDE_BODY, 400, b"conflicting Content-Length"),
+        ],
+        ids=["malformed", "not-utf8", "invalid", "unknown-purpose", "framing"],
+    )
+    def test_refusals_are_never_kept(self, tmp_path, request_bytes, status, message):
+        # each repeat is refused and audited as error again
+        gw = Gateway(load_gateway_config(write_gateway_conf(tmp_path, 9)))
+        try:
+            replies = [answer_bytes(gw, [request_bytes]) for _ in range(3)]
+            kept = dict(gw._state[2])
+        finally:
+            gw.stop()
+        assert replies == [replies[0]] * 3
+        assert statuses(replies[0]) == [status]
+        assert message is None or message in replies[0]
+        assert kept == {}
+        assert [record["decision"] for record in read_audit(tmp_path / "audit.jsonl")] == ["error"] * 3
+
+    def test_kept_answer_skips_every_stage_and_proxy_never_uses_it(self, tmp_path, monkeypatch):
+        calls = collections.Counter()
+        stages = ("parse_xacml_request", "build_access_request", "decide", "response_doc_for", "serialize_xacml_response")
+
+        def counted(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return call
+
+        for name in stages:
+            monkeypatch.setattr(service, name, counted(name, getattr(service, name)))
+        refused = (
+            b"GET /proxy/records/jen?purpose=treat HTTP/1.1\r\nX-Subject: joan\r\n"
+            b"X-Context: years_of_service=2; type=int\r\n\r\n"
+        )
+        gw = Gateway(load_gateway_config(write_gateway_conf(tmp_path, 9)))
+        try:
+            answers = [answer_bytes(gw, [decide_request(DECIDE_BODY)]) for _ in range(4)]
+            decided = dict(calls)
+            proxied = [statuses(answer_bytes(gw, [refused])) for _ in range(3)]
+            kept = list(gw._state[2])
+        finally:
+            gw.stop()
+        assert answers == [answers[0]] * 4
+        assert decided == dict.fromkeys(stages, 1)
+        assert proxied == [[403]] * 3
+        assert (calls["build_access_request"], calls["decide"]) == (4, 4)
+        assert kept == [DECIDE_BODY]
+
+    def test_map_holds_at_most_its_bound(self, tmp_path):
+        golden = (GOLDEN / "decide_response_01.xml").read_bytes()
+        gw = Gateway(load_gateway_config(write_gateway_conf(tmp_path, 9)))
+        lengths = []
+        try:
+            connection, transport = in_process(gw)
+            for k in range(60):  # distinct bodies of about 40 KB: about 25 fit
+                padding = b"<!-- %d %s -->\n" % (k, b"x" * 40_000)
+                connection.data_received(decide_request(DECIDE_BODY.replace(b"<request>", padding + b"<request>")))
+                answers = gw._state[2]
+                assert answers.size == sum(len(body) + len(kept[1]) for body, kept in answers.items())
+                assert answers.size <= service.ANSWER_BYTES
+                lengths.append(len(answers))
+            before = dict(answers)
+            over = DECIDE_BODY.replace(b"<request>", b"<!-- %s -->\n<request>" % (b"x" * service.ANSWER_BYTES))
+            connection.data_received(decide_request(over))
+            after = dict(gw._state[2])
+        finally:
+            gw.stop()
+        assert 20 < max(lengths) < 30 and lengths.count(1) >= 2  # emptied when full, then filled again
+        assert after == before  # a pair over the bound is not kept, and empties nothing
+        assert [split_response(data)[2] for data in transport.written] == [golden] * 61
+
+    def test_insert_that_would_pass_the_bound_empties_the_map(self):
+        outcome = service.Outcome("joan", "records/jen", "read", "treat", "Permit", False, "r", ())
+        answers = service.AnswerMap()
+        answers.keep(b"a" * (service.ANSWER_BYTES - 10), outcome, b"r" * 10)
+        assert (len(answers), answers.size) == (1, service.ANSWER_BYTES)  # the bound is reached, not passed
+        answers.keep(b"b", outcome, b"")
+        assert (dict(answers), answers.size) == ({b"b": (outcome, b"")}, 1)
+        answers.keep(b"c" * service.ANSWER_BYTES, outcome, b"r")
+        assert (dict(answers), answers.size) == ({b"b": (outcome, b"")}, 1)
+
+
+@given(seed=st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=25, deadline=None)
+def test_kept_answer_equals_a_fresh_gateways(seed):
+    # on random stores, the answer kept for a body is the answer a gateway
+    # that never saw the body gives, and its repeat is audited alike
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        bodies = write_random_bundle(root, random.Random(seed))
+        kept_gw = Gateway(load_gateway_config(root / "kept.conf"))
+        fresh_gw = Gateway(load_gateway_config(root / "fresh.conf"))
+        try:
+            for body in bodies:
+                first = answer_bytes(kept_gw, [decide_request(body)])
+                again = answer_bytes(kept_gw, [decide_request(body)])
+                assert again == first == answer_bytes(fresh_gw, [decide_request(body)])
+            kept = set(kept_gw._state[2])
+        finally:
+            kept_gw.stop()
+            fresh_gw.stop()
+        records = read_audit(root / "kept.jsonl")
+    assert kept == {body for body, record in zip(bodies, records[::2]) if record["decision"] != "error"}
+    assert without_time(records[::2]) == without_time(records[1::2])
