@@ -276,6 +276,21 @@ class Outcome(NamedTuple):
     conflicts: tuple
 
 
+def _judge(wire: XacmlRequestDoc, store: PolicyStore, kb: KnowledgeBase) -> tuple[Decision, Outcome]:
+    """Decides ``wire`` against ``store`` and ``kb``, one snapshot's pair, and
+    returns the decision with its Outcome.  An unknown purpose raises
+    RequestError(400) with the ids the request named."""
+    ids = (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id)
+    try:
+        request, conflicts = build_access_request(wire, kb, store)
+    except UnknownPurposeError as exc:
+        raise RequestError(400, str(exc), ids) from exc
+    decision = decide(store, request)
+    masked = decision.masked
+    outcome = Outcome(*ids, decision.value.value, masked, None if masked else decision.matched_rule, tuple(conflicts))
+    return decision, outcome
+
+
 class AnswerMap(dict):
     """The /pdp/decide answers one store version made: request body bytes to
     (Outcome, response bytes).  It holds at most ANSWER_BYTES of bodies and
@@ -1018,19 +1033,20 @@ class ClientConnection(asyncio.BufferedProtocol):
         is answered from that store's answer map: audited again, but not
         parsed, resolved, decided or serialized.  A refusal is never kept."""
         body = self._body()
-        state = self.gateway._state  # the one snapshot this request sees
-        kept = state[2].get(body)
-        if kept is None:
+        store, kb, answers = self.gateway._state  # the one snapshot this request sees
+        kept = answers.get(body)
+        if kept is not None:
+            outcome, response = kept
+            self._decide(outcome)
+        else:
             try:
                 wire = parse_xacml_request(body)
             except (SacError, ValueError) as exc:
                 raise RequestError(400, str(exc)) from exc
-            decision, outcome = self._decide(wire, state)
+            decision, outcome = _judge(wire, store, kb)
+            self._decide(outcome)
             response = serialize_xacml_response(response_doc_for(decision)).encode("utf-8")
-            state[2].keep(body, outcome, response)
-        else:
-            outcome, response = kept
-            self._decide(None, state, outcome)
+            answers.keep(body, outcome, response)
         self._send(200, response, "application/xml", [("X-Decision", outcome.decision)])
 
     def _proxy(self, method: str, parts) -> None:
@@ -1074,7 +1090,9 @@ class ClientConnection(asyncio.BufferedProtocol):
             purpose_id=purpose,
             environment=environment,
         )
-        decision, _ = self._decide(wire, self.gateway._state)
+        store, kb, _ = self.gateway._state
+        decision, outcome = _judge(wire, store, kb)
+        self._decide(outcome)
 
         if decision.value is not DecisionValue.PERMIT:
             # masked refusals must be byte-exact "access denied", so no newline here
@@ -1089,30 +1107,10 @@ class ClientConnection(asyncio.BufferedProtocol):
             target += f"?{parts.query}"
         self._forward(method, target, body, _end_to_end(self.headers, NOT_FORWARDED))
 
-    def _decide(
-        self, wire: XacmlRequestDoc | None, state: tuple, kept: Outcome | None = None
-    ) -> tuple[Decision | None, Outcome]:
-        """Decides ``wire`` against the store and knowledge base of
-        ``state``, a gateway snapshot, and audits the decision; returns it
-        with its Outcome.  Given ``kept``, the Outcome of an identical
-        request that the store of ``state`` decided, it audits that again and
-        decides nothing (the decision returned is None).  An unknown purpose
-        raises RequestError(400) with the ids the request named."""
-        decision = None
-        if kept is None:
-            store, kb, _ = state
-            ids = (wire.subject_id, wire.resource_id, wire.action_id, wire.purpose_id)
-            try:
-                request, conflicts = build_access_request(wire, kb, store)
-            except UnknownPurposeError as exc:
-                raise RequestError(400, str(exc), ids) from exc
-            decision = decide(store, request)
-            masked = decision.masked
-            kept = Outcome(
-                *ids, decision.value.value, masked, None if masked else decision.matched_rule, tuple(conflicts)
-            )
-        self._audit(*kept)
-        return decision, kept
+    def _decide(self, outcome: Outcome) -> None:
+        """The exit of a decided request: audits its Outcome, decided
+        afresh or kept.  A write that fails raises AuditError."""
+        self._audit(*outcome)
 
     # -- forwards ------------------------------------------------------------
 
